@@ -13,7 +13,9 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -42,22 +44,39 @@ std::string readFileAll(const std::string &Path) {
   return S;
 }
 
-/// Atomic create: O_CREAT|O_EXCL is the one filesystem primitive that
-/// cannot race — exactly one contender ever sees success. The claim/steal
-/// token ratchet is built entirely on it.
-bool createExclusive(const std::string &Path, const std::string &Content) {
-  int FD = ::open(Path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (FD < 0)
-    return false;
+/// Writes all of \p Content to \p FD; false on a write error.
+bool writeAll(int FD, const std::string &Content) {
   size_t Off = 0;
   while (Off < Content.size()) {
     ssize_t N = ::write(FD, Content.data() + Off, Content.size() - Off);
+    if (N < 0 && errno == EINTR)
+      continue;
     if (N <= 0)
-      break;
+      return false;
     Off += static_cast<size_t>(N);
   }
-  ::close(FD);
   return true;
+}
+
+/// Atomic create-with-content: exactly one contender ever sees success,
+/// and no reader ever sees the file without its full content. The content
+/// goes to a unique temp file first, which link(2) then publishes under
+/// \p Path — link fails with EEXIST when the name is taken, the same
+/// exclusive-create guarantee as O_EXCL, without O_EXCL's window between
+/// the create and the write in which a joiner reads a torn file. The
+/// claim/steal token ratchet is built entirely on it.
+bool createExclusive(const std::string &Path, const std::string &Content) {
+  static std::atomic<uint64_t> Seq{0};
+  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(Seq.fetch_add(1));
+  int FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+  if (FD < 0)
+    return false;
+  bool Written = writeAll(FD, Content);
+  Written = ::close(FD) == 0 && Written;
+  bool Won = Written && ::link(Tmp.c_str(), Path.c_str()) == 0;
+  ::unlink(Tmp.c_str());
+  return Won;
 }
 
 /// Write-temp-then-rename: readers see the old content or the new content,
@@ -178,43 +197,39 @@ bool WorkLedger::init(const std::vector<std::string> &PackageNames,
       *Error = "ledger manifest at " + Path + " is torn or corrupt";
     return false;
   }
-  std::string Theirs;
-  {
-    const json::Object &O = V.asObject();
-    auto SIt = O.find("shard_size");
-    auto PIt = O.find("packages");
-    if (SIt == O.end() || !SIt->second.isNumber() || PIt == O.end() ||
-        !PIt->second.isArray()) {
-      if (Error)
-        *Error = "ledger manifest at " + Path + " is malformed";
-      return false;
-    }
-    if (static_cast<size_t>(SIt->second.asNumber()) != Options.ShardSize) {
+  const json::Object &O = V.asObject();
+  auto SIt = O.find("shard_size");
+  auto PIt = O.find("packages");
+  if (SIt == O.end() || !SIt->second.isNumber() || PIt == O.end() ||
+      !PIt->second.isArray()) {
+    if (Error)
+      *Error = "ledger manifest at " + Path + " is malformed";
+    return false;
+  }
+  if (static_cast<size_t>(SIt->second.asNumber()) != Options.ShardSize) {
+    if (Error)
+      *Error = "ledger at " + Options.Dir +
+               " was created with a different --shard-size";
+    return false;
+  }
+  const json::Array &A = PIt->second.asArray();
+  if (A.size() != Names.size()) {
+    if (Error)
+      *Error = "ledger at " + Options.Dir +
+               " was created for a different corpus (" +
+               std::to_string(A.size()) + " packages, got " +
+               std::to_string(Names.size()) + ")";
+    return false;
+  }
+  for (size_t I = 0; I < A.size(); ++I) {
+    if (!A[I].isString() || A[I].asString() != Names[I]) {
       if (Error)
         *Error = "ledger at " + Options.Dir +
-                 " was created with a different --shard-size";
+                 " was created for a different corpus (package " +
+                 std::to_string(I) + " mismatch)";
       return false;
-    }
-    const json::Array &A = PIt->second.asArray();
-    if (A.size() != Names.size()) {
-      if (Error)
-        *Error = "ledger at " + Options.Dir +
-                 " was created for a different corpus (" +
-                 std::to_string(A.size()) + " packages, got " +
-                 std::to_string(Names.size()) + ")";
-      return false;
-    }
-    for (size_t I = 0; I < A.size(); ++I) {
-      if (!A[I].isString() || A[I].asString() != Names[I]) {
-        if (Error)
-          *Error = "ledger at " + Options.Dir +
-                   " was created for a different corpus (package " +
-                   std::to_string(I) + " mismatch)";
-        return false;
-      }
     }
   }
-  (void)Theirs;
   return true;
 }
 
@@ -477,6 +492,8 @@ std::vector<std::string> WorkLedger::quarantinedPackages() const {
   std::error_code EC;
   for (const auto &E :
        fs::directory_iterator(Options.Dir + "/quarantine", EC)) {
+    if (E.path().extension() != ".json")
+      continue; // A marker's unpublished temp file.
     json::Value V;
     if (!readFramedObject(E.path().string(), V))
       continue;

@@ -9,6 +9,8 @@
 #include "obs/Counters.h"
 #include "support/Deadline.h"
 
+#include <charconv>
+
 using namespace gjs;
 using namespace gjs::graphdb;
 using namespace gjs::mdg;
@@ -16,28 +18,44 @@ using namespace gjs::mdg;
 ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
                                Deadline *ScanDeadline) {
   ImportedMDG Out;
+  PropertyGraph &G = Out.Graph;
   Out.NodeOf.reserve(MDG.numNodes());
+  const uint32_t KLabel = G.internNodeKey("label");
+  const uint32_t KSite = G.internNodeKey("site");
+  const uint32_t KLine = G.internNodeKey("line");
+  const uint32_t KName = G.internNodeKey("name");
+  const uint32_t KPath = G.internNodeKey("path");
+  const uint32_t KTaint = G.internNodeKey("taint");
+  const uint32_t KRelName = G.internRelKey("name");
+  // Line and site numbers are interned as their decimal text.
+  auto SetNumber = [&G](NodeHandle H, uint32_t Key, uint64_t V) {
+    char Buf[24];
+    auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), V);
+    (void)Ec;
+    G.setProp(H, Key, std::string_view(Buf, static_cast<size_t>(End - Buf)));
+  };
 
   for (NodeId N : MDG.nodeIds()) {
     // Cooperative cancellation: one checkpoint per imported node. On
     // expiry, stop — queries run over the partial store.
     if (ScanDeadline && ScanDeadline->checkpoint()) {
       Out.Truncated = true;
+      G.freeze();
       return Out;
     }
     const Node &Src = MDG.node(N);
-    std::map<std::string, std::string> P;
-    P["label"] = Src.Label;
-    P["site"] = std::to_string(Src.Site);
-    P["line"] = std::to_string(Src.Loc.Line);
-    if (Src.Kind == NodeKind::Call) {
-      P["name"] = Src.CallName;
-      P["path"] = Src.CallPath;
-      Out.NodeOf.push_back(Out.Graph.addNode("Call", std::move(P)));
+    bool IsCall = Src.Kind == NodeKind::Call;
+    NodeHandle H = G.addNode(IsCall ? "Call" : "Object");
+    G.setProp(H, KLabel, Src.Label);
+    SetNumber(H, KSite, Src.Site);
+    SetNumber(H, KLine, Src.Loc.Line);
+    if (IsCall) {
+      G.setProp(H, KName, Src.CallName);
+      G.setProp(H, KPath, Src.CallPath);
     } else {
-      P["taint"] = Src.IsTaintSource ? "true" : "false";
-      Out.NodeOf.push_back(Out.Graph.addNode("Object", std::move(P)));
+      G.setProp(H, KTaint, Src.IsTaintSource ? "true" : "false");
     }
+    Out.NodeOf.push_back(H);
     obs::counters::ImportNodes.add();
   }
 
@@ -46,33 +64,38 @@ ImportedMDG graphdb::importMDG(const Graph &MDG, const StringInterner &Props,
       // One checkpoint per imported relationship.
       if (ScanDeadline && ScanDeadline->checkpoint()) {
         Out.Truncated = true;
+        G.freeze();
         return Out;
       }
-      std::map<std::string, std::string> P;
       const char *Type = "D";
+      bool Named = false;
       switch (E.Kind) {
       case EdgeKind::Dep:
         Type = "D";
         break;
       case EdgeKind::Prop:
         Type = "P";
-        P["name"] = Props.str(E.Prop);
+        Named = true;
         break;
       case EdgeKind::PropUnknown:
         Type = "PU";
         break;
       case EdgeKind::Version:
         Type = "V";
-        P["name"] = Props.str(E.Prop);
+        Named = true;
         break;
       case EdgeKind::VersionUnknown:
         Type = "VU";
         break;
       }
-      Out.Graph.addRel(Out.NodeOf[E.From], Out.NodeOf[E.To], Type,
-                       std::move(P));
+      RelHandle R = G.addRel(Out.NodeOf[E.From], Out.NodeOf[E.To], Type);
+      if (Named && R != InvalidHandle)
+        G.setRelProp(R, KRelName, Props.str(E.Prop));
       obs::counters::ImportRels.add();
     }
   }
+  // The store is read-only from here on: build the CSR adjacency and the
+  // label index the query engine walks.
+  G.freeze();
   return Out;
 }

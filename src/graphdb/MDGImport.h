@@ -44,7 +44,8 @@ struct ImportedMDG {
   bool Truncated = false;
 };
 
-/// Imports \p MDG (with property names from \p Props) into a fresh store.
+/// Imports \p MDG (with property names from \p Props) into a fresh store
+/// and freezes it (PropertyGraph::freeze), partial imports included.
 /// A scan-level \p ScanDeadline is checkpointed per node and edge; on
 /// expiry the import stops, returning the partial store with Truncated set.
 ImportedMDG importMDG(const mdg::Graph &MDG, const StringInterner &Props,

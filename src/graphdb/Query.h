@@ -9,15 +9,21 @@
 /// Cypher the paper's Graph.js runs against Neo4j). Supported grammar:
 ///
 ///   query     := MATCH matchItem (',' matchItem)*
-///                (WHERE cond (AND cond)*)?
-///                RETURN item (',' item)* (LIMIT int)?
+///                (WHERE where)?
+///                RETURN DISTINCT? item (',' item)* (LIMIT int)?
 ///   matchItem := (pathVar '=')? nodePat (relPat nodePat)*
 ///   nodePat   := '(' var? (':' Label)? ('{' key ':' str (',' ...)* '}')? ')'
 ///   relPat    := '-[' var? (':' Type ('|' Type)*)? ('*' int? '..' int?)? ']->'
-///   cond      := operand ('=' | '<>') operand
+///   where     := cond (AND cond)* | cond (OR cond)+
+///   cond      := NOT? '(' cond (OR cond)* ')'   — parenthesized disjunction
+///              | NOT? atom
+///   atom      := operand ('=' | '<>') operand
+///              | var '.' key IN '[' str (',' str)* ']'  — set membership
 ///              | predName '(' var ')'          — registered path predicate
-///              | NOT cond
 ///   operand   := var '.' key | string literal
+///
+/// AND and OR do not mix without parentheses: `a AND (b OR c)` parses,
+/// `a AND b OR c` is an error.
 ///   item      := var | var '.' key
 ///
 //===----------------------------------------------------------------------===//
@@ -65,21 +71,29 @@ struct MatchItem {
 struct Condition {
   enum class Kind {
     Compare,       ///< lhsVar.lhsKey (=|<>) rhs (literal or var.key)
+    In,            ///< lhsVar.lhsKey IN [literal, ...]
     PathPredicate, ///< name(pathVar)
+    Or,            ///< Alternatives[0] OR Alternatives[1] OR ...
   };
   Kind K = Kind::Compare;
   bool Negated = false;
 
-  // Compare:
+  // Compare and In:
   std::string LHSVar, LHSKey;
   bool RHSIsLiteral = true;
   std::string RHSLiteral;
   std::string RHSVar, RHSKey;
   bool NotEqual = false;
 
+  // In:
+  std::vector<std::string> RHSList;
+
   // PathPredicate:
   std::string PredName;
   std::string PredArg;
+
+  // Or:
+  std::vector<Condition> Alternatives;
 };
 
 /// A RETURN item.

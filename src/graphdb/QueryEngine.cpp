@@ -150,23 +150,14 @@ std::string graphdb::renderProfile(const QueryProfile &P) {
 /// was running.
 struct QueryEngine::Profiler {
   QueryProfile *Out = nullptr;
-  std::vector<size_t> ItemBase; ///< First step index of each MATCH item.
   std::vector<size_t> Stack;
   std::chrono::steady_clock::time_point Last;
 
   void start(QueryProfile *Profile, const Query &Q, const EngineOptions &O) {
     Out = Profile;
     Out->Steps = planSteps(Q, O);
-    ItemBase.clear();
-    size_t Base = 0;
-    for (const MatchItem &M : Q.Matches) {
-      ItemBase.push_back(Base);
-      Base += 1 + M.Rels.size();
-    }
     Last = std::chrono::steady_clock::now();
   }
-
-  size_t step(size_t Item, size_t Pos) const { return ItemBase[Item] + Pos; }
 
   void mark() {
     auto Now = std::chrono::steady_clock::now();
@@ -192,9 +183,9 @@ struct QueryEngine::Profiler {
   /// RAII enter/exit of one plan step (no-op without a profiler).
   struct Scope {
     Profiler *P;
-    Scope(Profiler *P, size_t Item, size_t Pos) : P(P) {
+    Scope(Profiler *P, size_t StepIdx) : P(P) {
       if (P)
-        P->enter(P->step(Item, Pos));
+        P->enter(StepIdx);
     }
     ~Scope() {
       if (P)
@@ -203,20 +194,300 @@ struct QueryEngine::Profiler {
   };
 };
 
-QueryEngine::QueryEngine(const PropertyGraph &Graph, EngineOptions O)
-    : G(Graph), Options(O) {}
+//===----------------------------------------------------------------------===//
+// Compilation: the query against one graph's interned ids
+//===----------------------------------------------------------------------===//
 
-void QueryEngine::registerPathPredicate(const std::string &Name,
-                                        PathPredicate Pred) {
-  Predicates[Name] = std::move(Pred);
-}
+namespace {
+
+constexpr uint32_t NoSlot = NoId;
+
+/// A (key column, value id) property filter.
+using PropFilter = std::pair<uint32_t, StrId>;
+
+struct CompiledNode {
+  uint32_t Slot = NoSlot; ///< Variable slot; NoSlot when anonymous.
+  bool Never = false;     ///< Unknown label, key or value: matches nothing.
+  uint32_t Label = NoId;  ///< NoId = any label.
+  std::vector<PropFilter> Props;
+};
+
+struct CompiledRel {
+  bool Never = false;
+  uint64_t TypeMask = ~uint64_t(0); ///< Bit t set = type id t allowed.
+  std::vector<PropFilter> Props;
+  uint32_t MinHops = 1;
+  uint32_t MaxHops = 1;
+  bool VarLength = false;
+  bool Reverse = false;
+};
+
+struct CompiledItem {
+  std::vector<CompiledNode> Nodes;
+  std::vector<CompiledRel> Rels;
+  HandleSpan Scan; ///< Start candidates: the first node's label list.
+};
+
+struct CompiledCond {
+  Condition::Kind K = Condition::Kind::Compare;
+  bool Negated = false;
+  // Compare / In. A NoId key reads as the empty string, like an absent one.
+  uint32_t LHSSlot = NoSlot, LHSKey = NoId;
+  bool RHSIsLiteral = true;
+  StrId RHSLiteral = NoStr; ///< NoStr: a literal no stored value equals.
+  uint32_t RHSSlot = NoSlot, RHSKey = NoId;
+  bool NotEqual = false;
+  std::vector<StrId> Set; ///< In: sorted ids of the stored list values.
+  // PathPredicate.
+  const QueryEngine::PathPredicate *Pred = nullptr;
+  size_t PathItem = 0;
+  // Or.
+  std::vector<CompiledCond> Alternatives;
+};
+
+struct CompiledReturn {
+  enum class Kind { NodeId, NodeProp, Path, Missing } K = Kind::Missing;
+  uint32_t Slot = NoSlot;
+  uint32_t Key = NoId;
+  size_t PathItem = 0;
+};
+
+} // namespace
+
+struct QueryEngine::Plan {
+  const Query *Q = nullptr;
+  std::vector<CompiledItem> Items;
+  std::vector<size_t> StepBase; ///< First plan step of each item.
+  size_t NumSteps = 0;
+  std::vector<std::string> SlotNames; ///< Node variable of each slot.
+  /// Path variables: name -> the first MATCH item that names it.
+  std::vector<std::pair<std::string, size_t>> PathVars;
+  std::vector<CompiledCond> Where;
+  /// A WHERE reference to an unbound variable or an unregistered predicate
+  /// fails every row.
+  bool WhereNever = false;
+  std::vector<CompiledReturn> Returns;
+};
+
+class QueryEngine::Compiler {
+public:
+  Compiler(const PropertyGraph &G, const EngineOptions &O,
+           const std::map<std::string, QueryEngine::PathPredicate> &Preds)
+      : G(G), O(O), Preds(Preds) {}
+
+  void compile(const Query &Q, QueryEngine::Plan &P) {
+    P.Q = &Q;
+    for (size_t I = 0; I < Q.Matches.size(); ++I) {
+      const MatchItem &M = Q.Matches[I];
+      CompiledItem CI;
+      for (const NodePattern &N : M.Nodes)
+        CI.Nodes.push_back(node(N, P));
+      for (const RelPattern &R : M.Rels)
+        CI.Rels.push_back(rel(R));
+      CI.Scan = G.nodesByLabel(M.Nodes[0].Label);
+      if (!M.PathVar.empty() && !pathItem(P, M.PathVar, nullptr))
+        P.PathVars.emplace_back(M.PathVar, I);
+      P.StepBase.push_back(P.NumSteps);
+      P.NumSteps += 1 + M.Rels.size();
+      P.Items.push_back(std::move(CI));
+    }
+    for (const Condition &C : Q.Where)
+      P.Where.push_back(cond(C, P));
+    for (const ReturnItem &R : Q.Returns) {
+      CompiledReturn CR;
+      if (uint32_t S = slot(P, R.Var); S != NoSlot) {
+        CR.K = R.Key.empty() ? CompiledReturn::Kind::NodeId
+                             : CompiledReturn::Kind::NodeProp;
+        CR.Slot = S;
+        CR.Key = G.nodeKeyId(R.Key);
+      } else if (pathItem(P, R.Var, &CR.PathItem)) {
+        CR.K = CompiledReturn::Kind::Path;
+      }
+      P.Returns.push_back(CR);
+    }
+  }
+
+private:
+  const PropertyGraph &G;
+  const EngineOptions &O;
+  const std::map<std::string, QueryEngine::PathPredicate> &Preds;
+
+  static uint32_t slot(const QueryEngine::Plan &P, const std::string &Var) {
+    for (size_t I = 0; I < P.SlotNames.size(); ++I)
+      if (P.SlotNames[I] == Var)
+        return static_cast<uint32_t>(I);
+    return NoSlot;
+  }
+
+  static bool pathItem(const QueryEngine::Plan &P, const std::string &Var,
+                       size_t *Item) {
+    for (const auto &[Name, I] : P.PathVars)
+      if (Name == Var) {
+        if (Item)
+          *Item = I;
+        return true;
+      }
+    return false;
+  }
+
+  CompiledNode node(const NodePattern &N, QueryEngine::Plan &P) {
+    CompiledNode C;
+    if (!N.Var.empty()) {
+      C.Slot = slot(P, N.Var);
+      if (C.Slot == NoSlot) {
+        C.Slot = static_cast<uint32_t>(P.SlotNames.size());
+        P.SlotNames.push_back(N.Var);
+      }
+    }
+    if (!N.Label.empty()) {
+      C.Label = G.labelId(N.Label);
+      C.Never |= C.Label == NoId;
+    }
+    for (const auto &[Key, Value] : N.Props) {
+      PropFilter F{G.nodeKeyId(Key), G.strId(Value)};
+      C.Never |= F.first == NoId || F.second == NoStr;
+      C.Props.push_back(F);
+    }
+    return C;
+  }
+
+  CompiledRel rel(const RelPattern &R) {
+    CompiledRel C;
+    if (!R.Types.empty()) {
+      C.TypeMask = 0;
+      for (const std::string &T : R.Types)
+        if (uint32_t Id = G.relTypeId(T); Id != NoId)
+          C.TypeMask |= uint64_t(1) << Id;
+    }
+    for (const auto &[Key, Value] : R.Props) {
+      PropFilter F{G.relKeyId(Key), G.strId(Value)};
+      C.Never |= F.first == NoId || F.second == NoStr;
+      C.Props.push_back(F);
+    }
+    C.VarLength = R.VarLength;
+    C.Reverse = R.Reverse;
+    C.MinHops = R.VarLength ? R.MinHops : 1;
+    C.MaxHops = R.VarLength ? (R.Unbounded ? O.MaxHops : R.MaxHops) : 1;
+    return C;
+  }
+
+  CompiledCond cond(const Condition &C, QueryEngine::Plan &P) {
+    CompiledCond CC;
+    CC.K = C.K;
+    CC.Negated = C.Negated;
+    switch (C.K) {
+    case Condition::Kind::Compare:
+    case Condition::Kind::In:
+      CC.LHSSlot = slot(P, C.LHSVar);
+      CC.LHSKey = G.nodeKeyId(C.LHSKey);
+      P.WhereNever |= CC.LHSSlot == NoSlot;
+      CC.NotEqual = C.NotEqual;
+      CC.RHSIsLiteral = C.RHSIsLiteral;
+      if (C.K == Condition::Kind::In) {
+        for (const std::string &V : C.RHSList)
+          if (StrId Id = G.strId(V); Id != NoStr)
+            CC.Set.push_back(Id);
+        std::sort(CC.Set.begin(), CC.Set.end());
+      } else if (C.RHSIsLiteral) {
+        CC.RHSLiteral = G.strId(C.RHSLiteral);
+      } else {
+        CC.RHSSlot = slot(P, C.RHSVar);
+        CC.RHSKey = G.nodeKeyId(C.RHSKey);
+        P.WhereNever |= CC.RHSSlot == NoSlot;
+      }
+      break;
+    case Condition::Kind::PathPredicate: {
+      auto It = Preds.find(C.PredName);
+      CC.Pred = It == Preds.end() ? nullptr : &It->second;
+      P.WhereNever |= !CC.Pred || !pathItem(P, C.PredArg, &CC.PathItem);
+      break;
+    }
+    case Condition::Kind::Or:
+      for (const Condition &A : C.Alternatives)
+        CC.Alternatives.push_back(cond(A, P));
+      break;
+    }
+    return CC;
+  }
+};
+
+//===----------------------------------------------------------------------===//
+// Matching
+//===----------------------------------------------------------------------===//
+
+/// The (node, fold state) pairs one segment walk has visited: an
+/// open-addressing hash set cleared in O(1) by bumping an epoch stamp, so
+/// each plan step reuses one table across all of its walks.
+class QueryEngine::VisitedSet {
+public:
+  void reset() {
+    Live = 0;
+    if (++Epoch != 0)
+      return;
+    for (Entry &E : Slots) // Stamp wrap-around: clear for real.
+      E.Epoch = 0;
+    Epoch = 1;
+  }
+
+  /// Inserts (N, S); false when it was already present.
+  bool insert(NodeHandle N, int64_t S) {
+    if ((Live + 1) * 2 > Slots.size())
+      grow();
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(N, S) & Mask;; I = (I + 1) & Mask) {
+      Entry &E = Slots[I];
+      if (E.Epoch != Epoch) {
+        E = {S, N, Epoch};
+        ++Live;
+        return true;
+      }
+      if (E.Node == N && E.State == S)
+        return false;
+    }
+  }
+
+private:
+  struct Entry {
+    int64_t State = 0;
+    NodeHandle Node = 0;
+    uint32_t Epoch = 0; ///< Live in the current walk iff equal to Epoch.
+  };
+  std::vector<Entry> Slots;
+  size_t Live = 0;
+  uint32_t Epoch = 1;
+
+  static size_t hash(NodeHandle N, int64_t S) {
+    uint64_t K = (uint64_t(N) * 0x9E3779B97F4A7C15ull) ^
+                 (uint64_t(S) * 0xC2B2AE3D27D4EB4Full);
+    return static_cast<size_t>(K ^ (K >> 29));
+  }
+
+  void grow() {
+    std::vector<Entry> Old = std::move(Slots);
+    Slots.assign(std::max<size_t>(64, Old.size() * 2), Entry());
+    size_t Mask = Slots.size() - 1;
+    for (const Entry &E : Old) {
+      if (E.Epoch != Epoch)
+        continue;
+      size_t I = hash(E.Node, E.State) & Mask;
+      while (Slots[I].Epoch == Epoch)
+        I = (I + 1) & Mask;
+      Slots[I] = E;
+    }
+  }
+};
 
 /// Mutable matcher state threaded through the backtracking search.
 struct QueryEngine::MatchState {
-  std::map<std::string, NodeHandle> NodeBindings;
-  std::map<std::string, Path> PathBindings;
-  /// Path accumulated for the current MatchItem.
-  Path CurrentPath;
+  const Plan *P = nullptr;
+  /// Node variable bindings by slot (InvalidHandle = unbound).
+  std::vector<NodeHandle> Nodes;
+  /// The path matched so far by each MATCH item. Items nest strictly, so an
+  /// earlier item's path stays intact while later items match; a path
+  /// variable reads its item's path.
+  std::vector<Path> ItemPath;
+  /// One visited set per plan step (at most one walk per step is active).
+  std::vector<VisitedSet> Visited;
   /// Projected rows already emitted (RETURN DISTINCT).
   std::set<std::vector<std::string>> SeenRows;
   uint64_t Work = 0;
@@ -228,265 +499,292 @@ struct QueryEngine::MatchState {
   Profiler *Prof = nullptr;
 };
 
-bool QueryEngine::nodeMatches(NodeHandle H, const NodePattern &Pat) const {
-  const StoredNode &N = G.node(H);
-  if (!Pat.Label.empty() && N.Label != Pat.Label)
+/// One relationship-segment expansion: the compiled pattern pieces plus the
+/// step's profile index and visited set.
+struct QueryEngine::Segment {
+  size_t ItemIdx = 0;
+  size_t NodeIdx = 0;
+  size_t StepIdx = 0;
+  const CompiledRel *Rel = nullptr;
+  const CompiledNode *Next = nullptr;
+  bool UseFold = false;
+  VisitedSet *Visited = nullptr;
+};
+
+QueryEngine::QueryEngine(const PropertyGraph &Graph, EngineOptions O)
+    : G(Graph), Options(O) {}
+
+void QueryEngine::registerPathPredicate(const std::string &Name,
+                                        PathPredicate Pred) {
+  Predicates[Name] = std::move(Pred);
+}
+
+namespace {
+
+bool nodeMatches(const PropertyGraph &G, NodeHandle H, const CompiledNode &N) {
+  if (N.Never || (N.Label != NoId && G.labelOf(H) != N.Label))
     return false;
-  for (const auto &[Key, Value] : Pat.Props) {
-    auto It = N.Props.find(Key);
-    if (It == N.Props.end() || It->second != Value)
+  for (const PropFilter &F : N.Props)
+    if (G.propId(H, F.first) != F.second)
       return false;
-  }
   return true;
 }
 
-bool QueryEngine::relTypeMatches(RelHandle H, const RelPattern &Pat) const {
-  const StoredRel &R = G.rel(H);
-  if (!Pat.Types.empty() &&
-      std::find(Pat.Types.begin(), Pat.Types.end(), R.Type) ==
-          Pat.Types.end())
+bool relMatches(const PropertyGraph &G, RelHandle H, const CompiledRel &R) {
+  if (R.Never || !((R.TypeMask >> G.relTypeOf(H)) & 1))
     return false;
-  for (const auto &[Key, Value] : Pat.Props) {
-    auto It = R.Props.find(Key);
-    if (It == R.Props.end() || It->second != Value)
+  for (const PropFilter &F : R.Props)
+    if (G.relPropId(H, F.first) != F.second)
       return false;
+  return true;
+}
+
+/// A node's property as a WHERE operand: absent keys read as "" (id 0).
+StrId operand(const PropertyGraph &G, NodeHandle H, uint32_t Key) {
+  StrId V = Key == NoId ? NoStr : G.propId(H, Key);
+  return V == NoStr ? 0 : V;
+}
+
+/// Evaluates one WHERE condition over a complete match.
+bool holds(const PropertyGraph &G, const CompiledCond &C,
+           const std::vector<NodeHandle> &Nodes,
+           const std::vector<Path> &ItemPath) {
+  bool Holds = false;
+  switch (C.K) {
+  case Condition::Kind::Compare: {
+    StrId L = operand(G, Nodes[C.LHSSlot], C.LHSKey);
+    StrId R = C.RHSIsLiteral ? C.RHSLiteral
+                             : operand(G, Nodes[C.RHSSlot], C.RHSKey);
+    Holds = C.NotEqual ? L != R : L == R;
+    break;
+  }
+  case Condition::Kind::In:
+    Holds = std::binary_search(C.Set.begin(), C.Set.end(),
+                               operand(G, Nodes[C.LHSSlot], C.LHSKey));
+    break;
+  case Condition::Kind::PathPredicate:
+    Holds = (*C.Pred)(ItemPath[C.PathItem], G);
+    break;
+  case Condition::Kind::Or:
+    for (const CompiledCond &A : C.Alternatives)
+      if ((Holds = holds(G, A, Nodes, ItemPath)))
+        break;
+    break;
+  }
+  return Holds != C.Negated;
+}
+
+} // namespace
+
+bool QueryEngine::tick(MatchState &State) {
+  ++State.Work;
+  if (Options.WorkBudget != 0 && State.Work > Options.WorkBudget) {
+    State.Aborted = true;
+    return false;
+  }
+  // The scan-level deadline bounds the whole pipeline; one checkpoint per
+  // matcher step, aborting with the rows found so far.
+  if (Options.ScanDeadline && Options.ScanDeadline->checkpoint()) {
+    State.Aborted = true;
+    return false;
   }
   return true;
 }
 
-bool QueryEngine::evalWhere(const Query &Q, const MatchState &State) const {
-  for (const Condition &C : Q.Where) {
-    bool Holds = false;
-    if (C.K == Condition::Kind::Compare) {
-      auto LIt = State.NodeBindings.find(C.LHSVar);
-      if (LIt == State.NodeBindings.end())
-        return false;
-      const std::string &LHS = G.prop(LIt->second, C.LHSKey);
-      std::string RHS;
-      if (C.RHSIsLiteral) {
-        RHS = C.RHSLiteral;
-      } else {
-        auto RIt = State.NodeBindings.find(C.RHSVar);
-        if (RIt == State.NodeBindings.end())
-          return false;
-        RHS = G.prop(RIt->second, C.RHSKey);
-      }
-      Holds = C.NotEqual ? LHS != RHS : LHS == RHS;
-    } else {
-      auto PIt = Predicates.find(C.PredName);
-      auto AIt = State.PathBindings.find(C.PredArg);
-      if (PIt == Predicates.end() || AIt == State.PathBindings.end())
-        return false;
-      Holds = PIt->second(AIt->second, G);
-    }
-    if (C.Negated)
-      Holds = !Holds;
-    if (!Holds)
-      return false;
-  }
-  return true;
-}
-
-void QueryEngine::emitRow(const Query &Q, MatchState &State, ResultSet &Out) {
-  if (!evalWhere(Q, State))
+void QueryEngine::emitRow(MatchState &State, ResultSet &Out) {
+  const Plan &P = *State.P;
+  if (P.WhereNever)
     return;
+  for (const CompiledCond &C : P.Where)
+    if (!holds(G, C, State.Nodes, State.ItemPath))
+      return;
+
   ResultRow Row;
-  Row.NodeBindings = State.NodeBindings;
-  Row.PathBindings = State.PathBindings;
-  for (const ReturnItem &R : Q.Returns) {
-    auto NIt = State.NodeBindings.find(R.Var);
-    if (NIt != State.NodeBindings.end()) {
-      Row.Values.push_back(R.Key.empty() ? std::to_string(NIt->second)
-                                         : G.prop(NIt->second, R.Key));
-      continue;
+  for (size_t S = 0; S < P.SlotNames.size(); ++S)
+    Row.NodeBindings[P.SlotNames[S]] = State.Nodes[S];
+  for (const auto &[Name, Item] : P.PathVars)
+    Row.PathBindings[Name] = State.ItemPath[Item];
+  for (const CompiledReturn &R : P.Returns) {
+    switch (R.K) {
+    case CompiledReturn::Kind::NodeId:
+      Row.Values.push_back(std::to_string(State.Nodes[R.Slot]));
+      break;
+    case CompiledReturn::Kind::NodeProp: {
+      StrId V = R.Key == NoId ? NoStr : G.propId(State.Nodes[R.Slot], R.Key);
+      Row.Values.push_back(V == NoStr ? std::string() : G.str(V));
+      break;
     }
-    auto PIt = State.PathBindings.find(R.Var);
-    if (PIt != State.PathBindings.end()) {
-      Row.Values.push_back("path[" + std::to_string(PIt->second.Rels.size()) +
-                           "]");
-      continue;
+    case CompiledReturn::Kind::Path:
+      Row.Values.push_back(
+          "path[" + std::to_string(State.ItemPath[R.PathItem].Rels.size()) +
+          "]");
+      break;
+    case CompiledReturn::Kind::Missing:
+      Row.Values.push_back("");
+      break;
     }
-    Row.Values.push_back("");
   }
-  if (Q.Distinct && !State.SeenRows.insert(Row.Values).second)
+  if (P.Q->Distinct && !State.SeenRows.insert(Row.Values).second)
     return;
   Out.Rows.push_back(std::move(Row));
   if (Options.MaxRows != 0 && Out.Rows.size() >= Options.MaxRows)
     State.RowLimitHit = true;
-  if (Q.Limit != 0 && Out.Rows.size() >= Q.Limit)
+  if (P.Q->Limit != 0 && Out.Rows.size() >= P.Q->Limit)
     State.RowLimitHit = true;
 }
 
-void QueryEngine::matchItem(const Query &Q, size_t ItemIdx, MatchState &State,
+void QueryEngine::matchItem(size_t ItemIdx, MatchState &State,
                             ResultSet &Out) {
   if (State.Aborted || State.RowLimitHit)
     return;
-  if (ItemIdx == Q.Matches.size()) {
-    emitRow(Q, State, Out);
+  const Plan &P = *State.P;
+  if (ItemIdx == P.Items.size()) {
+    emitRow(State, Out);
     return;
   }
-  const MatchItem &M = Q.Matches[ItemIdx];
-  const NodePattern &First = M.Nodes[0];
-  Profiler::Scope Step(State.Prof, ItemIdx, 0);
-  const size_t StepIdx = State.Prof ? State.Prof->step(ItemIdx, 0) : 0;
+  const CompiledItem &M = P.Items[ItemIdx];
+  const CompiledNode &First = M.Nodes[0];
+  const size_t StepIdx = P.StepBase[ItemIdx];
+  Profiler::Scope Step(State.Prof, StepIdx);
 
   auto StartWith = [&](NodeHandle H) {
     if (State.Prof)
       State.Prof->candidate(StepIdx);
-    if (!nodeMatches(H, First))
+    if (!nodeMatches(G, H, First))
       return;
     if (State.Prof)
       State.Prof->match(StepIdx);
     bool Bound = false;
-    if (!First.Var.empty() && !State.NodeBindings.count(First.Var)) {
-      State.NodeBindings[First.Var] = H;
+    if (First.Slot != NoSlot && State.Nodes[First.Slot] == InvalidHandle) {
+      State.Nodes[First.Slot] = H;
       Bound = true;
       ++State.Bindings;
     }
-    Path SavedPath = State.CurrentPath;
-    State.CurrentPath = Path{{H}, {}};
-    matchChain(Q, ItemIdx, 0, State, Out);
-    State.CurrentPath = SavedPath;
+    Path &Current = State.ItemPath[ItemIdx];
+    Current.Nodes.assign(1, H);
+    Current.Rels.clear();
+    matchChain(ItemIdx, 0, State, Out);
     if (Bound)
-      State.NodeBindings.erase(First.Var);
+      State.Nodes[First.Slot] = InvalidHandle;
   };
 
   // Already-bound variable joins with the previous matches.
-  if (!First.Var.empty() && State.NodeBindings.count(First.Var)) {
-    StartWith(State.NodeBindings.at(First.Var));
+  if (First.Slot != NoSlot && State.Nodes[First.Slot] != InvalidHandle) {
+    StartWith(State.Nodes[First.Slot]);
     return;
   }
-  for (NodeHandle H : G.nodesByLabel(First.Label)) {
+  for (NodeHandle H : M.Scan) {
     if (State.Aborted || State.RowLimitHit)
       return;
-    ++State.Work;
-    if (Options.WorkBudget != 0 && State.Work > Options.WorkBudget) {
-      State.Aborted = true;
+    if (!tick(State))
       return;
-    }
-    // The scan-level deadline bounds the whole pipeline; one checkpoint
-    // per matcher step, aborting with the rows found so far.
-    if (Options.ScanDeadline && Options.ScanDeadline->checkpoint()) {
-      State.Aborted = true;
-      return;
-    }
     StartWith(H);
   }
 }
 
-void QueryEngine::matchChain(const Query &Q, size_t ItemIdx, size_t NodeIdx,
+void QueryEngine::matchChain(size_t ItemIdx, size_t NodeIdx,
                              MatchState &State, ResultSet &Out) {
   if (State.Aborted || State.RowLimitHit)
     return;
-  const MatchItem &M = Q.Matches[ItemIdx];
+  const Plan &P = *State.P;
+  const CompiledItem &M = P.Items[ItemIdx];
   if (NodeIdx == M.Rels.size()) {
-    // Chain complete: bind the path variable and move to the next item.
-    bool BoundPath = false;
-    if (!M.PathVar.empty() && !State.PathBindings.count(M.PathVar)) {
-      State.PathBindings[M.PathVar] = State.CurrentPath;
-      BoundPath = true;
-    }
-    matchItem(Q, ItemIdx + 1, State, Out);
-    if (BoundPath)
-      State.PathBindings.erase(M.PathVar);
+    // Chain complete (its path variable, if any, reads ItemPath[ItemIdx]):
+    // move to the next item.
+    matchItem(ItemIdx + 1, State, Out);
     return;
   }
 
-  const RelPattern &R = M.Rels[NodeIdx];
-  const NodePattern &NextPat = M.Nodes[NodeIdx + 1];
-  NodeHandle From = State.CurrentPath.Nodes.back();
-  Profiler::Scope Step(State.Prof, ItemIdx, NodeIdx + 1);
-  const size_t StepIdx = State.Prof ? State.Prof->step(ItemIdx, NodeIdx + 1) : 0;
-
-  uint32_t MinHops = R.VarLength ? R.MinHops : 1;
-  uint32_t MaxHops =
-      R.VarLength ? (R.Unbounded ? Options.MaxHops : R.MaxHops) : 1;
-
+  Segment Seg;
+  Seg.ItemIdx = ItemIdx;
+  Seg.NodeIdx = NodeIdx;
+  Seg.StepIdx = P.StepBase[ItemIdx] + NodeIdx + 1;
+  Seg.Rel = &M.Rels[NodeIdx];
+  Seg.Next = &M.Nodes[NodeIdx + 1];
   // DFS over hop sequences of length [MinHops, MaxHops]; relationships may
-  // not repeat within one segment (Cypher's relationship isomorphism).
-  // With a registered path fold, (node, foldState) pairs are visited once
-  // per segment walk — the planner-style pruning that keeps variable-
-  // length matching polynomial.
-  std::map<std::pair<NodeHandle, int64_t>, bool> Visited;
+  // not repeat within one path (Cypher's relationship isomorphism). With a
+  // registered path fold, (node, foldState) pairs are visited once per
+  // segment walk — the planner-style pruning that keeps variable-length
+  // matching polynomial.
+  Seg.UseFold = Seg.Rel->VarLength && Fold_;
+  Seg.Visited = &State.Visited[Seg.StepIdx];
+  if (Seg.UseFold)
+    Seg.Visited->reset();
+  Profiler::Scope Step(State.Prof, Seg.StepIdx);
+  walk(Seg, State, Out, State.ItemPath[ItemIdx].Nodes.back(), 0, 0);
+}
 
-  std::function<void(NodeHandle, uint32_t, int64_t)> Walk =
-      [&](NodeHandle Cur, uint32_t Hops, int64_t FoldState) {
-    if (State.Aborted || State.RowLimitHit)
-      return;
-    ++State.Work;
-    if (Options.WorkBudget != 0 && State.Work > Options.WorkBudget) {
-      State.Aborted = true;
-      return;
-    }
-    if (Options.ScanDeadline && Options.ScanDeadline->checkpoint()) {
-      State.Aborted = true;
-      return;
-    }
-    // Every walked endpoint is one candidate for this step (a `*0..`
-    // segment can accept its start node with no extension at all, so
-    // counting attempted extensions instead would undercount).
+void QueryEngine::walk(const Segment &Seg, MatchState &State, ResultSet &Out,
+                       NodeHandle Cur, uint32_t Hops, int64_t FoldState) {
+  if (State.Aborted || State.RowLimitHit)
+    return;
+  if (!tick(State))
+    return;
+  // Every walked endpoint is one candidate for this step (a `*0..` segment
+  // can accept its start node with no extension at all, so counting
+  // attempted extensions instead would undercount).
+  if (State.Prof)
+    State.Prof->candidate(Seg.StepIdx);
+  const CompiledRel &R = *Seg.Rel;
+  if (Hops >= R.MinHops && nodeMatches(G, Cur, *Seg.Next)) {
+    // Accept this endpoint; bind the next node pattern variable.
     if (State.Prof)
-      State.Prof->candidate(StepIdx);
-    if (Hops >= MinHops && nodeMatches(Cur, NextPat)) {
-      // Accept this endpoint; bind the next node pattern variable.
-      if (State.Prof)
-        State.Prof->match(StepIdx);
-      bool Bound = false;
-      bool Compatible = true;
-      if (!NextPat.Var.empty()) {
-        auto It = State.NodeBindings.find(NextPat.Var);
-        if (It != State.NodeBindings.end()) {
-          Compatible = It->second == Cur;
-        } else {
-          State.NodeBindings[NextPat.Var] = Cur;
-          Bound = true;
-          ++State.Bindings;
-        }
+      State.Prof->match(Seg.StepIdx);
+    bool Bound = false;
+    bool Compatible = true;
+    if (Seg.Next->Slot != NoSlot) {
+      NodeHandle &B = State.Nodes[Seg.Next->Slot];
+      if (B != InvalidHandle) {
+        Compatible = B == Cur;
+      } else {
+        B = Cur;
+        Bound = true;
+        ++State.Bindings;
       }
-      if (Compatible)
-        matchChain(Q, ItemIdx, NodeIdx + 1, State, Out);
-      if (Bound)
-        State.NodeBindings.erase(NextPat.Var);
     }
-    if (Hops >= MaxHops)
-      return;
-    // `<-[...]-` walks against edge direction: candidate relationships
-    // come from the in-adjacency and continue at their From endpoint.
-    const std::vector<RelHandle> &Adjacent =
-        R.Reverse ? G.in(Cur) : G.out(Cur);
-    for (RelHandle RH : Adjacent) {
-      if (!relTypeMatches(RH, R))
+    if (Compatible)
+      matchChain(Seg.ItemIdx, Seg.NodeIdx + 1, State, Out);
+    if (Bound)
+      State.Nodes[Seg.Next->Slot] = InvalidHandle;
+  }
+  if (Hops >= R.MaxHops)
+    return;
+  // `<-[...]-` walks against edge direction: candidate relationships come
+  // from the in-adjacency and continue at their From endpoint.
+  Path &Current = State.ItemPath[Seg.ItemIdx];
+  for (RelHandle RH : R.Reverse ? G.in(Cur) : G.out(Cur)) {
+    if (!relMatches(G, RH, R))
+      continue;
+    if (std::find(Current.Rels.begin(), Current.Rels.end(), RH) !=
+        Current.Rels.end())
+      continue; // No repeated relationships within a path.
+    NodeHandle Next = R.Reverse ? G.relFrom(RH) : G.relTo(RH);
+    int64_t NextState = 0;
+    if (Seg.UseFold) {
+      NextState = Fold_(FoldState, RH);
+      if (NextState < 0)
+        continue; // Fold pruned this extension.
+      if (!Seg.Visited->insert(Next, NextState))
         continue;
-      if (std::find(State.CurrentPath.Rels.begin(),
-                    State.CurrentPath.Rels.end(),
-                    RH) != State.CurrentPath.Rels.end())
-        continue; // No repeated relationships within a path.
-      NodeHandle Next = R.Reverse ? G.rel(RH).From : G.rel(RH).To;
-      int64_t NextState = 0;
-      if (R.VarLength && Fold_) {
-        NextState = Fold_(FoldState, G.rel(RH));
-        if (NextState < 0)
-          continue; // Fold pruned this extension.
-        auto Key = std::make_pair(Next, NextState);
-        if (Visited.count(Key))
-          continue;
-        Visited[Key] = true;
-      }
-      State.CurrentPath.Rels.push_back(RH);
-      State.CurrentPath.Nodes.push_back(Next);
-      Walk(Next, Hops + 1, NextState);
-      State.CurrentPath.Nodes.pop_back();
-      State.CurrentPath.Rels.pop_back();
-      ++State.Backtracks;
     }
-  };
-
-  Walk(From, 0, 0);
+    Current.Rels.push_back(RH);
+    Current.Nodes.push_back(Next);
+    walk(Seg, State, Out, Next, Hops + 1, NextState);
+    Current.Nodes.pop_back();
+    Current.Rels.pop_back();
+    ++State.Backtracks;
+  }
 }
 
 ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
+  Plan P;
+  Compiler(G, Options, Predicates).compile(Q, P);
   ResultSet Out;
   MatchState State;
+  State.P = &P;
+  State.Nodes.assign(P.SlotNames.size(), InvalidHandle);
+  State.ItemPath.resize(P.Items.size());
+  State.Visited.resize(P.NumSteps);
   Profiler Prof;
   if (Profile) {
     *Profile = QueryProfile();
@@ -494,7 +792,7 @@ ResultSet QueryEngine::run(const Query &Q, QueryProfile *Profile) {
     State.Prof = &Prof;
   }
   auto Start = std::chrono::steady_clock::now();
-  matchItem(Q, 0, State, Out);
+  matchItem(0, State, Out);
   Out.TimedOut = State.Aborted;
   Out.Work = State.Work;
   if (Profile) {

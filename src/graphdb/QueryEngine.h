@@ -113,7 +113,13 @@ std::string explainQuery(const Query &Q, const EngineOptions &O = {});
 /// and zeroed metrics (shared by explain and profile).
 std::vector<StepProfile> planSteps(const Query &Q, const EngineOptions &O);
 
-/// The query engine bound to one graph.
+/// The query engine bound to one frozen graph (PropertyGraph::freeze).
+///
+/// Each run compiles the query against the graph once: labels, relationship
+/// types, property keys and literal values become the graph's interned ids
+/// (names the graph never stored match nothing), type alternations become
+/// bitmasks, and variables become slots. The backtracking matcher then
+/// walks only integer data.
 class QueryEngine {
 public:
   using PathPredicate =
@@ -131,7 +137,7 @@ public:
   /// only under a previously unseen state. State 0 is the initial state.
   /// Registered folds must be consistent with the path predicates: two
   /// paths with equal fold states must be indistinguishable to them.
-  using PathFold = std::function<int64_t(int64_t, const StoredRel &)>;
+  using PathFold = std::function<int64_t(int64_t, RelHandle)>;
   void setPathFold(PathFold Fold) { Fold_ = std::move(Fold); }
 
   /// Parses and runs query text. On parse error, returns an empty set and
@@ -150,16 +156,19 @@ private:
   std::map<std::string, PathPredicate> Predicates;
   PathFold Fold_;
 
+  struct Plan;
+  class Compiler;
   struct MatchState;
   struct Profiler;
-  void matchItem(const Query &Q, size_t ItemIdx, MatchState &State,
-                 ResultSet &Out);
-  void matchChain(const Query &Q, size_t ItemIdx, size_t NodeIdx,
-                  MatchState &State, ResultSet &Out);
-  void emitRow(const Query &Q, MatchState &State, ResultSet &Out);
-  bool nodeMatches(NodeHandle H, const NodePattern &Pat) const;
-  bool relTypeMatches(RelHandle H, const RelPattern &Pat) const;
-  bool evalWhere(const Query &Q, const MatchState &State) const;
+  struct Segment;
+  class VisitedSet;
+  void matchItem(size_t ItemIdx, MatchState &State, ResultSet &Out);
+  void matchChain(size_t ItemIdx, size_t NodeIdx, MatchState &State,
+                  ResultSet &Out);
+  void walk(const Segment &Seg, MatchState &State, ResultSet &Out,
+            NodeHandle Cur, uint32_t Hops, int64_t FoldState);
+  void emitRow(MatchState &State, ResultSet &Out);
+  bool tick(MatchState &State);
 };
 
 } // namespace graphdb

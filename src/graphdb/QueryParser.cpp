@@ -241,11 +241,48 @@ private:
     return true;
   }
 
+  /// Parses `(OR cond)*` after \p First into \p Out: \p First itself when
+  /// no OR follows, else one Or over all the alternatives.
+  bool parseAlternatives(Condition First, Condition &Out) {
+    if (!peekKeyword("OR")) {
+      Out = std::move(First);
+      return true;
+    }
+    Out = Condition();
+    Out.K = Condition::Kind::Or;
+    Out.Alternatives.push_back(std::move(First));
+    while (peekKeyword("OR")) {
+      consumeKeyword("OR");
+      Condition Next;
+      if (!parseCondition(Next))
+        return false;
+      Out.Alternatives.push_back(std::move(Next));
+    }
+    return true;
+  }
+
+  /// cond := NOT? '(' cond (OR cond)* ')' | NOT? atom
   bool parseCondition(Condition &C) {
+    bool Negated = false;
     if (peekKeyword("NOT")) {
       consumeKeyword("NOT");
-      C.Negated = true;
+      Negated = true;
     }
+    if (!tryConsume('(')) {
+      C.Negated = Negated;
+      return parseAtom(C);
+    }
+    Condition First;
+    if (!parseCondition(First) || !parseAlternatives(std::move(First), C))
+      return false;
+    if (peekKeyword("AND"))
+      return fail("only OR may be parenthesized");
+    C.Negated = C.Negated != Negated;
+    return consume(')');
+  }
+
+  /// atom := operand ('=' | '<>') operand | var.key IN [str, ...] | pred(var)
+  bool parseAtom(Condition &C) {
     size_t Save = Pos;
     std::string Name = ident();
     if (Name.empty())
@@ -264,6 +301,19 @@ private:
     if (!consume('.'))
       return false;
     C.LHSKey = ident();
+    if (peekKeyword("IN")) {
+      consumeKeyword("IN");
+      C.K = Condition::Kind::In;
+      if (!consume('['))
+        return false;
+      do {
+        std::string Value;
+        if (!stringLiteral(Value))
+          return false;
+        C.RHSList.push_back(std::move(Value));
+      } while (tryConsume(','));
+      return consume(']');
+    }
     skipWS();
     if (tryConsume('=')) {
       C.NotEqual = false;
@@ -273,7 +323,7 @@ private:
         return false;
       C.NotEqual = true;
     } else {
-      return fail("expected '=' or '<>'");
+      return fail("expected '=', '<>' or IN");
     }
     skipWS();
     if (peek() == '\'' || peek() == '"') {
@@ -285,6 +335,27 @@ private:
     if (!consume('.'))
       return false;
     C.RHSKey = ident();
+    return true;
+  }
+
+  /// where := cond (AND cond)* | cond (OR cond)+
+  bool parseWhere(Query &Q) {
+    Condition First, C;
+    if (!parseCondition(First))
+      return false;
+    bool Disjunction = peekKeyword("OR");
+    if (!parseAlternatives(std::move(First), C))
+      return false;
+    Q.Where.push_back(std::move(C));
+    while (!Disjunction && peekKeyword("AND")) {
+      consumeKeyword("AND");
+      Condition Next;
+      if (!parseCondition(Next))
+        return false;
+      Q.Where.push_back(std::move(Next));
+    }
+    if (peekKeyword(Disjunction ? "AND" : "OR"))
+      return fail("mixing AND and OR needs parentheses");
     return true;
   }
 
@@ -302,17 +373,8 @@ private:
     }
     if (peekKeyword("WHERE")) {
       consumeKeyword("WHERE");
-      while (true) {
-        Condition C;
-        if (!parseCondition(C))
-          return false;
-        Q.Where.push_back(std::move(C));
-        if (peekKeyword("AND")) {
-          consumeKeyword("AND");
-          continue;
-        }
-        break;
-      }
+      if (!parseWhere(Q))
+        return false;
     }
     if (!consumeKeyword("RETURN"))
       return false;

@@ -204,8 +204,11 @@ private:
 
   /// Checks a `var.key` reference from WHERE/RETURN. Key may be empty
   /// (whole-variable reference).
+  /// An unknown key is reported with \p UnknownKeySev / \p UnknownKeyCode.
   void checkVarKey(const std::string &Var, const std::string &Key,
-                   const char *Where) {
+                   const char *Where,
+                   DiagSeverity UnknownKeySev = DiagSeverity::Warning,
+                   const char *UnknownKeyCode = "query.unknown-prop-key") {
     if (!isBound(Var)) {
       issue(DiagSeverity::Error, "query.unbound-var",
             std::string(Where) + " references variable '" + Var +
@@ -223,7 +226,7 @@ private:
     auto RelIt = RelTypesOf.find(Var);
     if (RelIt != RelTypesOf.end()) {
       if (!S.relHasProp(RelIt->second, Key))
-        issue(DiagSeverity::Warning, "query.unknown-prop-key",
+        issue(UnknownKeySev, UnknownKeyCode,
               std::string(Where) + " reads relationship property '" + Key +
                   "' which the importer never emits for '" + Var + "'");
       return;
@@ -231,34 +234,50 @@ private:
     const std::string &Label = NodeLabelOf.at(Var);
     if ((Label.empty() || S.hasNodeLabel(Label)) &&
         !S.nodeHasProp(Label, Key))
-      issue(DiagSeverity::Warning, "query.unknown-prop-key",
+      issue(UnknownKeySev, UnknownKeyCode,
             std::string(Where) + " reads property '" + Key +
                 "' which the importer never emits for '" + Var +
                 (Label.empty() ? "'" : "' (label ':" + Label + "')"));
   }
 
   void checkWhere() {
-    for (const Condition &C : Q.Where) {
-      if (C.K == Condition::Kind::PathPredicate) {
-        if (!isBound(C.PredArg))
-          issue(DiagSeverity::Error, "query.unbound-var",
-                "WHERE predicate '" + C.PredName +
-                    "' references variable '" + C.PredArg +
-                    "' which is not bound in MATCH");
-        else if (!PathVars.count(C.PredArg))
-          issue(DiagSeverity::Error, "query.pred-arg-not-path",
-                "WHERE predicate '" + C.PredName + "' needs a path variable; '" +
-                    C.PredArg + "' is not bound as `" + C.PredArg +
-                    " = (...)`");
-        UsedOutsideMatch.insert(C.PredArg);
-        continue;
-      }
+    for (const Condition &C : Q.Where)
+      checkCondition(C);
+  }
+
+  void checkCondition(const Condition &C) {
+    switch (C.K) {
+    case Condition::Kind::PathPredicate:
+      if (!isBound(C.PredArg))
+        issue(DiagSeverity::Error, "query.unbound-var",
+              "WHERE predicate '" + C.PredName + "' references variable '" +
+                  C.PredArg + "' which is not bound in MATCH");
+      else if (!PathVars.count(C.PredArg))
+        issue(DiagSeverity::Error, "query.pred-arg-not-path",
+              "WHERE predicate '" + C.PredName + "' needs a path variable; '" +
+                  C.PredArg + "' is not bound as `" + C.PredArg +
+                  " = (...)`");
+      UsedOutsideMatch.insert(C.PredArg);
+      return;
+    case Condition::Kind::Or:
+      for (const Condition &A : C.Alternatives)
+        checkCondition(A);
+      return;
+    case Condition::Kind::In:
+      // A membership test on a key the importer never emits reads "" for
+      // every node: the filter can never match a listed value.
+      checkVarKey(C.LHSVar, C.LHSKey, "WHERE", DiagSeverity::Error,
+                  "query.unknown-in-key");
+      UsedOutsideMatch.insert(C.LHSVar);
+      return;
+    case Condition::Kind::Compare:
       checkVarKey(C.LHSVar, C.LHSKey, "WHERE");
       UsedOutsideMatch.insert(C.LHSVar);
       if (!C.RHSIsLiteral) {
         checkVarKey(C.RHSVar, C.RHSKey, "WHERE");
         UsedOutsideMatch.insert(C.RHSVar);
       }
+      return;
     }
   }
 

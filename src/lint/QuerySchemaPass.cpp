@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Wraps graphdb's schema linter (SchemaLint.h) as a validation pass: every
-// built-in Table 2 query instantiated from the sink configuration, plus
-// any ad-hoc query texts in the context, is checked against the MDG import
-// schema. Finding codes come straight from the schema linter
+// built-in Table 2 query instantiated from the sink configuration (one per
+// vulnerability class), plus any ad-hoc query texts in the context, is
+// checked against the MDG import schema. Finding codes come straight from the schema linter
 // ("query.unknown-rel-type", "query.hop-bounds", ...).
 //
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,9 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace gjs;
 using namespace gjs::queries;
@@ -26,7 +28,63 @@ GraphDBRunner::GraphDBRunner(const analysis::BuildResult &Build,
                              bool UntaintedExclusion)
     : Build(Build), Imported(graphdb::importMDG(Build.Graph, Build.Props,
                                                 Engine.ScanDeadline)),
-      EngineOpts(Engine), UntaintedExclusion(UntaintedExclusion) {}
+      EngineOpts(Engine), UntaintedExclusion(UntaintedExclusion),
+      Engine_(Imported.Graph, Engine) {
+  registerPredicates(Engine_);
+}
+
+namespace {
+
+/// The `untainted` path fold over interned property-name sets: state S is
+/// the sorted set States[S] of names overwritten so far (V edges), and a
+/// read of one of them (P edge) is pruned. V-edge transitions are memoized
+/// per (state, name id).
+class UntaintedFold {
+public:
+  explicit UntaintedFold(const PropertyGraph &G)
+      : G(G), V(G.relTypeId("V")), P(G.relTypeId("P")),
+        Name(G.relKeyId("name")) {
+    States.emplace_back();
+    Index[{}] = 0;
+  }
+
+  int64_t operator()(int64_t S, graphdb::RelHandle R) {
+    uint32_t Type = G.relTypeOf(R);
+    if ((Type != V && Type != P) || Name == graphdb::NoId)
+      return S;
+    graphdb::StrId N = G.relPropId(R, Name);
+    if (N == graphdb::NoStr)
+      return S;
+    if (Type == P) {
+      const std::vector<graphdb::StrId> &Cur = States[static_cast<size_t>(S)];
+      // Overwritten property: prune the untainted extension.
+      return std::binary_search(Cur.begin(), Cur.end(), N) ? -1 : S;
+    }
+    uint64_t Key = (static_cast<uint64_t>(S) << 32) | N;
+    auto It = Steps.find(Key);
+    if (It != Steps.end())
+      return It->second;
+    std::vector<graphdb::StrId> Next = States[static_cast<size_t>(S)];
+    auto Pos = std::lower_bound(Next.begin(), Next.end(), N);
+    if (Pos == Next.end() || *Pos != N)
+      Next.insert(Pos, N);
+    auto [SIt, Fresh] =
+        Index.emplace(std::move(Next), static_cast<int64_t>(States.size()));
+    if (Fresh)
+      States.push_back(SIt->first);
+    Steps.emplace(Key, SIt->second);
+    return SIt->second;
+  }
+
+private:
+  const PropertyGraph &G;
+  uint32_t V, P, Name;
+  std::vector<std::vector<graphdb::StrId>> States;
+  std::map<std::vector<graphdb::StrId>, int64_t> Index;
+  std::unordered_map<uint64_t, int64_t> Steps;
+};
+
+} // namespace
 
 void GraphDBRunner::registerPredicates(QueryEngine &E) const {
   if (!UntaintedExclusion) {
@@ -36,132 +94,84 @@ void GraphDBRunner::registerPredicates(QueryEngine &E) const {
         "untainted",
         [](const Path &, const PropertyGraph &) { return false; });
     // A coarse reachability fold still prunes revisits (state 0 always).
-    E.setPathFold(
-        [](int64_t, const graphdb::StoredRel &) -> int64_t { return 0; });
+    E.setPathFold([](int64_t, graphdb::RelHandle) -> int64_t { return 0; });
     return;
   }
   // UntaintedPath (Table 1): the path contains V(p) followed, anywhere
   // later, by P(p) on the same property: the tainted value was overwritten.
+  const PropertyGraph &G = Imported.Graph;
+  uint32_t V = G.relTypeId("V"), P = G.relTypeId("P");
+  uint32_t Name = G.relKeyId("name");
   E.registerPathPredicate(
-      "untainted", [](const Path &P, const PropertyGraph &G) {
-        std::set<std::string> Overwritten;
-        for (graphdb::RelHandle RH : P.Rels) {
-          const graphdb::StoredRel &R = G.rel(RH);
-          if (R.Type == "V") {
-            auto It = R.Props.find("name");
-            if (It != R.Props.end())
-              Overwritten.insert(It->second);
-          } else if (R.Type == "P") {
-            auto It = R.Props.find("name");
-            if (It != R.Props.end() && Overwritten.count(It->second))
-              return true;
-          }
+      "untainted", [V, P, Name](const Path &Pa, const PropertyGraph &G) {
+        if (Name == graphdb::NoId)
+          return false;
+        std::vector<graphdb::StrId> Overwritten;
+        for (graphdb::RelHandle RH : Pa.Rels) {
+          uint32_t Type = G.relTypeOf(RH);
+          graphdb::StrId N = G.relPropId(RH, Name);
+          if (N == graphdb::NoStr)
+            continue;
+          if (Type == V)
+            Overwritten.push_back(N);
+          else if (Type == P && std::find(Overwritten.begin(),
+                                          Overwritten.end(),
+                                          N) != Overwritten.end())
+            return true;
         }
         return false;
       });
 
-  // Path-state fold for planner-style pruning: the state is the interned
-  // set of overwritten properties, and untainted extensions (reading a
-  // property after its overwrite) are pruned outright. Consistent with the
+  // Path-state fold for planner-style pruning, consistent with the
   // `untainted` predicate: every surviving path satisfies NOT untainted.
-  auto States = std::make_shared<std::vector<std::set<std::string>>>();
-  auto Index = std::make_shared<std::map<std::set<std::string>, int64_t>>();
-  States->push_back({});
-  (*Index)[{}] = 0;
-  E.setPathFold([States, Index](int64_t S,
-                                const graphdb::StoredRel &R) -> int64_t {
-    const std::set<std::string> &Cur = (*States)[static_cast<size_t>(S)];
-    auto NameIt = R.Props.find("name");
-    if (R.Type == "V" && NameIt != R.Props.end()) {
-      std::set<std::string> Next = Cur;
-      Next.insert(NameIt->second);
-      auto It = Index->find(Next);
-      if (It != Index->end())
-        return It->second;
-      int64_t Id = static_cast<int64_t>(States->size());
-      States->push_back(Next);
-      (*Index)[std::move(Next)] = Id;
-      return Id;
-    }
-    if (R.Type == "P" && NameIt != R.Props.end() &&
-        Cur.count(NameIt->second))
-      return -1; // Overwritten property: prune the untainted extension.
-    return S;
-  });
+  E.setPathFold(UntaintedFold(G));
 }
 
-static const char *TaintQueryTemplateName =
-    "MATCH p = (src:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(arg)"
-    "-[:D]->(call:Call {name: '%'})\n"
-    "WHERE NOT untainted(p)\n"
-    "RETURN src, arg, call";
+namespace {
 
-static const char *TaintQueryTemplatePath =
-    "MATCH p = (src:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(arg)"
-    "-[:D]->(call:Call {path: '%'})\n"
-    "WHERE NOT untainted(p)\n"
-    "RETURN src, arg, call";
-
-/// Substitutes the sink name into a query template (single '%' hole).
-static std::string instantiate(const char *Template, const std::string &Name) {
-  std::string Out(Template);
-  size_t Hole = Out.find('%');
-  Out.replace(Hole, 1, Name);
-  return Out;
-}
-
-std::vector<VulnReport>
-GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
-                                DetectStats *Stats) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
-
-  std::vector<VulnReport> Reports;
-  std::set<VulnReport> Dedup;
-
-  for (const SinkSpec &Spec : Config.sinks(T)) {
-    std::string QueryText = instantiate(
-        Spec.isPath() ? TaintQueryTemplatePath : TaintQueryTemplateName,
-        Spec.Name);
-    obs::Span QSpan(EngineOpts.Trace, std::string(vulnTypeName(T)) + "/" +
-                                          Spec.Name);
-    ResultSet R = E.run(QueryText);
-    QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
-    QSpan.arg("work", R.Work);
-    if (Stats) {
-      Stats->QueryWork += R.Work;
-      Stats->TimedOut |= R.TimedOut;
-    }
-    for (const ResultRow &Row : R.Rows) {
-      NodeId Call = Row.NodeBindings.at("call");
-      NodeId Arg = Row.NodeBindings.at("arg");
-      // Host-side Arg_{f,n} filter: the matched arg must be one of the
-      // sink's sensitive argument positions.
-      const Node &CN = Build.Graph.node(Call);
-      bool Sensitive = false;
-      for (unsigned I = 0; I < CN.Args.size() && !Sensitive; ++I) {
-        if (!SinkConfig::argIsSensitive(Spec, I))
-          continue;
-        Sensitive = std::find(CN.Args[I].begin(), CN.Args[I].end(), Arg) !=
-                    CN.Args[I].end();
-      }
-      if (!Sensitive)
-        continue;
-      VulnReport Rep;
-      Rep.Type = T;
-      Rep.SinkLoc = CN.Loc;
-      Rep.SinkName = CN.CallName;
-      Rep.SinkPath = CN.CallPath;
-      if (Dedup.insert(Rep).second)
-        Reports.push_back(std::move(Rep));
-    }
+/// Quotes a sink name as a query string literal.
+std::string quoted(const std::string &S) {
+  std::string Out = "'";
+  for (char C : S) {
+    if (C == '\'' || C == '\\')
+      Out += '\\';
+    Out += C;
   }
-  return Reports;
+  return Out + "'";
+}
+
+std::string quotedList(const std::vector<std::string> &Names) {
+  std::string Out = "[";
+  for (size_t I = 0; I < Names.size(); ++I)
+    Out += (I ? ", " : "") + quoted(Names[I]);
+  return Out + "]";
+}
+
+/// The Table 2 taint template for one vulnerability class: a tainted value
+/// reaches an argument of a call whose bare name or dotted path is one of
+/// the class's sinks. One traversal serves every sink of the class; the
+/// host applies each sink's sensitive-argument filter to the rows.
+std::string taintClassQuery(const std::vector<SinkSpec> &Specs) {
+  std::vector<std::string> Names, Paths;
+  for (const SinkSpec &S : Specs)
+    (S.isPath() ? Paths : Names).push_back(S.Name);
+  std::string Sinks;
+  if (!Names.empty())
+    Sinks = "call.name IN " + quotedList(Names);
+  if (!Paths.empty())
+    Sinks += (Sinks.empty() ? "" : " OR ") + std::string("call.path IN ") +
+             quotedList(Paths);
+  if (!Names.empty() && !Paths.empty())
+    Sinks = "(" + Sinks + ")";
+  return "MATCH p = (src:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(arg)"
+         "-[:D]->(call:Call)\n"
+         "WHERE " + Sinks + " AND NOT untainted(p)\n"
+         "RETURN src, arg, call";
 }
 
 // The taint-source endpoints of p1..p3 are anonymous: naming them would
 // bind variables the query never reads (the schema linter flags that).
-static const char *PollutionQuery =
+const char *PollutionQuery =
     "MATCH (obj:Object)-[:PU]->(sub:Object)-[:VU]->(ver:Object)"
     "-[:PU]->(val:Object),\n"
     "  p1 = (:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(sub),\n"
@@ -170,19 +180,85 @@ static const char *PollutionQuery =
     "WHERE NOT untainted(p1) AND NOT untainted(p2) AND NOT untainted(p3)\n"
     "RETURN obj, sub, ver, val";
 
+constexpr VulnType TaintClasses[] = {VulnType::CommandInjection,
+                                     VulnType::CodeInjection,
+                                     VulnType::PathTraversal};
+
+} // namespace
+
+const graphdb::Query *GraphDBRunner::parsed(const std::string &Text,
+                                            std::string *Error) {
+  auto It = Parsed.find(Text);
+  if (It != Parsed.end())
+    return &It->second;
+  graphdb::Query Q;
+  if (!graphdb::parseQuery(Text, Q, Error))
+    return nullptr;
+  return &Parsed.emplace(Text, std::move(Q)).first->second;
+}
+
+std::vector<VulnReport>
+GraphDBRunner::detectTaintStyle(VulnType T, const SinkConfig &Config,
+                                DetectStats *Stats) {
+  const std::vector<SinkSpec> &Specs = Config.sinks(T);
+  if (Specs.empty())
+    return {};
+  // Built-in texts are schema-validated before any scan runs.
+  const graphdb::Query *Q = parsed(taintClassQuery(Specs), nullptr);
+  if (!Q)
+    return {};
+  obs::Span QSpan(EngineOpts.Trace, vulnTypeName(T));
+  ResultSet R = Engine_.run(*Q);
+  QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
+  QSpan.arg("work", R.Work);
+  QSpan.close();
+  if (Stats) {
+    Stats->QueryWork += R.Work;
+    Stats->TimedOut |= R.TimedOut;
+  }
+
+  // Host-side Arg_{f,n} filter: the matched arg must be one of a matching
+  // sink's sensitive argument positions. A row is credited to the first
+  // such sink in config order, and the buckets are concatenated in that
+  // order — the report order of one query per sink.
+  std::vector<std::vector<VulnReport>> BySink(Specs.size());
+  for (const ResultRow &Row : R.Rows) {
+    const Node &CN = Build.Graph.node(Row.NodeBindings.at("call"));
+    NodeId Arg = Row.NodeBindings.at("arg");
+    for (size_t S = 0; S < Specs.size(); ++S) {
+      if (!SinkConfig::matchesCall(Specs[S], CN.CallName, CN.CallPath))
+        continue;
+      bool Sensitive = false;
+      for (unsigned I = 0; I < CN.Args.size() && !Sensitive; ++I)
+        Sensitive = SinkConfig::argIsSensitive(Specs[S], I) &&
+                    std::find(CN.Args[I].begin(), CN.Args[I].end(), Arg) !=
+                        CN.Args[I].end();
+      if (!Sensitive)
+        continue;
+      VulnReport Rep;
+      Rep.Type = T;
+      Rep.SinkLoc = CN.Loc;
+      Rep.SinkName = CN.CallName;
+      Rep.SinkPath = CN.CallPath;
+      BySink[S].push_back(std::move(Rep));
+      break;
+    }
+  }
+  std::vector<VulnReport> Reports;
+  std::set<VulnReport> Dedup;
+  for (std::vector<VulnReport> &Bucket : BySink)
+    for (VulnReport &Rep : Bucket)
+      if (Dedup.insert(Rep).second)
+        Reports.push_back(std::move(Rep));
+  return Reports;
+}
+
 std::vector<std::pair<std::string, std::string>>
 GraphDBRunner::builtinQueries(const SinkConfig &Config) {
   std::vector<std::pair<std::string, std::string>> Out;
-  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
-                     VulnType::PathTraversal}) {
-    for (const SinkSpec &Spec : Config.sinks(T)) {
-      std::string Name = std::string(vulnTypeName(T)) + "/" + Spec.Name;
-      Out.emplace_back(std::move(Name),
-                       instantiate(Spec.isPath() ? TaintQueryTemplatePath
-                                                 : TaintQueryTemplateName,
-                                   Spec.Name));
-    }
-  }
+  for (VulnType T : TaintClasses)
+    if (!Config.sinks(T).empty())
+      Out.emplace_back(vulnTypeName(T), taintClassQuery(Config.sinks(T)));
   Out.emplace_back("prototype-pollution", PollutionQuery);
   return Out;
 }
@@ -205,11 +281,11 @@ bool GraphDBRunner::validateBuiltinQueries(const SinkConfig &Config,
 
 std::vector<VulnReport>
 GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
-
+  const graphdb::Query *Q = parsed(PollutionQuery, nullptr);
+  if (!Q)
+    return {};
   obs::Span QSpan(EngineOpts.Trace, "prototype-pollution");
-  ResultSet R = E.run(PollutionQuery);
+  ResultSet R = Engine_.run(*Q);
   QSpan.arg("rows", static_cast<uint64_t>(R.Rows.size()));
   QSpan.arg("work", R.Work);
   QSpan.close();
@@ -234,9 +310,10 @@ GraphDBRunner::detectPrototypePollution(DetectStats *Stats) {
 graphdb::ResultSet GraphDBRunner::runQuery(const std::string &Text,
                                            std::string *Error,
                                            graphdb::QueryProfile *Profile) {
-  QueryEngine E(Imported.Graph, EngineOpts);
-  registerPredicates(E);
-  return E.run(Text, Error, Profile);
+  const graphdb::Query *Q = parsed(Text, Error);
+  if (!Q)
+    return ResultSet();
+  return Engine_.run(*Q, Profile);
 }
 
 std::vector<std::pair<std::string, graphdb::QueryProfile>>
@@ -262,8 +339,7 @@ std::vector<VulnReport>
 GraphDBRunner::detect(const SinkConfig &Config, DetectStats *Stats,
                       const std::array<bool, NumVulnTypes> &Enabled) {
   std::vector<VulnReport> All;
-  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
-                     VulnType::PathTraversal}) {
+  for (VulnType T : TaintClasses) {
     if (!Enabled[static_cast<int>(T)])
       continue;
     std::vector<VulnReport> R = detectTaintStyle(T, Config, Stats);

@@ -9,9 +9,11 @@
 ///
 ///  - **GraphDBRunner** — the Graph.js architecture: the MDG is imported
 ///    into the graph database and interrogated with the Cypher-like query
-///    language (two query families: taint-style and prototype pollution),
-///    plus a thin host-side layer for argument-index filtering and report
-///    deduplication (the paper's "500 lines of Python").
+///    language — one taint-style query per vulnerability class, whose WHERE
+///    clause tests the call against every sink of the class, and one
+///    prototype-pollution query — plus a thin host-side layer for
+///    argument-index filtering and report deduplication (the paper's "500
+///    lines of Python").
 ///
 ///  - **detectNative** — the same detectors implemented directly with the
 ///    Table 1 traversals. Used as a cross-validation oracle in tests and
@@ -32,6 +34,8 @@
 #include "queries/VulnTypes.h"
 
 #include <array>
+#include <map>
+#include <string>
 #include <vector>
 
 namespace gjs {
@@ -49,6 +53,9 @@ public:
   GraphDBRunner(const analysis::BuildResult &Build,
                 graphdb::EngineOptions Engine = {},
                 bool UntaintedExclusion = true);
+  // The engine holds a reference into the imported store.
+  GraphDBRunner(const GraphDBRunner &) = delete;
+  GraphDBRunner &operator=(const GraphDBRunner &) = delete;
 
   /// Detects all four vulnerability classes.
   std::vector<VulnReport> detect(const SinkConfig &Config,
@@ -59,7 +66,9 @@ public:
   std::vector<VulnReport> detect(const SinkConfig &Config, DetectStats *Stats,
                                  const std::array<bool, NumVulnTypes> &Enabled);
 
-  /// Runs one taint-style class only.
+  /// Runs one taint-style class only: one traversal for all of the
+  /// class's sinks. Reports come out in sink-config order (each row is
+  /// credited to the first sink it matches with a sensitive argument).
   std::vector<VulnReport> detectTaintStyle(VulnType T,
                                            const SinkConfig &Config,
                                            DetectStats *Stats = nullptr);
@@ -69,7 +78,8 @@ public:
 
   /// Runs arbitrary query text against the imported MDG with the built-in
   /// path predicates registered (what `graphjs query` executes). With
-  /// \p Profile, per-step PROFILE metrics are collected.
+  /// \p Profile, per-step PROFILE metrics are collected. Each distinct
+  /// text is parsed once per runner.
   graphdb::ResultSet runQuery(const std::string &Text,
                               std::string *Error = nullptr,
                               graphdb::QueryProfile *Profile = nullptr);
@@ -87,7 +97,9 @@ public:
   bool importTruncated() const { return Imported.Truncated; }
 
   /// The built-in Table 2 query texts as instantiated for \p Config, as
-  /// (display name, query text) pairs — what the schema linter validates.
+  /// (display name, query text) pairs — what the schema linter validates:
+  /// one per taint class with at least one sink (named after the class,
+  /// e.g. "command-injection"), then "prototype-pollution".
   static std::vector<std::pair<std::string, std::string>>
   builtinQueries(const SinkConfig &Config);
 
@@ -105,8 +117,13 @@ private:
   /// When false, TaintPath degrades to BasicPath (ablation of the
   /// UntaintedPath exclusion — Table 1's key precision mechanism).
   bool UntaintedExclusion;
+  /// One engine over the frozen store, predicates and fold registered.
+  graphdb::QueryEngine Engine_;
+  /// Query text -> parsed query.
+  std::map<std::string, graphdb::Query> Parsed;
 
   void registerPredicates(graphdb::QueryEngine &E) const;
+  const graphdb::Query *parsed(const std::string &Text, std::string *Error);
 };
 
 /// The same Table 2 detectors via native Table 1 traversals.

@@ -36,6 +36,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace gjs;
@@ -307,6 +308,53 @@ TEST(WorkLedgerTest, JoinerVerifiesManifest) {
   EXPECT_FALSE(C.init({"a", "zzz"}, &Error));
   EXPECT_FALSE(Error.empty());
   std::filesystem::remove_all(Dir);
+}
+
+TEST(WorkLedgerTest, RacingJoinersNeverReadATornManifest) {
+  // Each round, a creator and three forked joiners init one fresh ledger at
+  // once. The manifest is large (thousands of names), so a joiner that
+  // could open it between its creation and its last write would see it
+  // torn.
+  std::vector<std::string> Names;
+  for (int I = 0; I < 4000; ++I)
+    Names.push_back("package-with-a-longer-name-" + std::to_string(I));
+  std::string Base = tempDir("torn");
+  for (int Round = 0; Round < 60; ++Round) {
+    std::string Dir = Base + "/r" + std::to_string(Round);
+    int Gate[2];
+    ASSERT_EQ(::pipe(Gate), 0);
+    std::vector<pid_t> Joiners;
+    for (int J = 0; J < 3; ++J) {
+      pid_t Pid = ::fork();
+      ASSERT_GE(Pid, 0);
+      if (Pid == 0) {
+        // Block until the parent closes the gate, then race it.
+        ::close(Gate[1]);
+        char C;
+        (void)!::read(Gate[0], &C, 1);
+        driver::WorkLedger L(
+            ledgerOpts(Dir, 4, 10.0, "joiner" + std::to_string(J)));
+        std::string Error;
+        bool Ok = L.init(Names, &Error);
+        ::_exit(Ok ? 0 : Error.find("torn") != std::string::npos ? 2 : 1);
+      }
+      Joiners.push_back(Pid);
+    }
+    ::close(Gate[0]);
+    ::close(Gate[1]);
+    driver::WorkLedger L(ledgerOpts(Dir, 4, 10.0, "creator"));
+    std::string Error;
+    EXPECT_TRUE(L.init(Names, &Error)) << "round " << Round << ": " << Error;
+    for (pid_t Pid : Joiners) {
+      int Status = 0;
+      ASSERT_EQ(::waitpid(Pid, &Status, 0), Pid);
+      ASSERT_TRUE(WIFEXITED(Status));
+      EXPECT_NE(WEXITSTATUS(Status), 2)
+          << "round " << Round << ": a joiner read a torn manifest";
+      EXPECT_EQ(WEXITSTATUS(Status), 0) << "round " << Round;
+    }
+  }
+  std::filesystem::remove_all(Base);
 }
 
 TEST(WorkLedgerTest, StealOnlyAfterExpiryAndFencingWins) {

@@ -28,6 +28,7 @@ PropertyGraph makeFixture() {
   G.addRel(A, B, "D");
   G.addRel(B, C, "D");
   G.addRel(A, D, "P", {{"name", "x"}});
+  G.freeze();
   return G;
 }
 
@@ -179,7 +180,7 @@ TEST(QueryEngineTest, PathPredicateFiltering) {
                       "WHERE longerThanOne(p) RETURN x");
   ASSERT_EQ(R.Rows.size(), 1u);
   // Only the 2-hop path to the call survives.
-  EXPECT_EQ(G.node(R.Rows[0].NodeBindings.at("x")).Label, "Call");
+  EXPECT_EQ(G.label(R.Rows[0].NodeBindings.at("x")), "Call");
 }
 
 TEST(QueryEngineTest, MultiMatchJoin) {
@@ -199,6 +200,7 @@ TEST(QueryEngineTest, CyclesDoNotHang) {
   NodeHandle B = G.addNode("Object", {{"label", "b"}});
   G.addRel(A, B, "D");
   G.addRel(B, A, "D");
+  G.freeze();
   QueryEngine E(G);
   ResultSet R = E.run("MATCH (x:Object)-[:D*1..]->(y:Object) RETURN x, y");
   // a->b, a->b->a, b->a, b->a->b: 4 rows, finite.
@@ -215,6 +217,7 @@ TEST(QueryEngineTest, WorkBudgetTimesOut) {
     for (NodeHandle Y : Ns)
       if (X != Y)
         G.addRel(X, Y, "D");
+  G.freeze();
   EngineOptions O;
   O.WorkBudget = 500;
   QueryEngine E(G, O);
@@ -264,6 +267,7 @@ TEST(QueryEngineTest, RelationshipPropertyFilter) {
   NodeHandle Y = G.addNode("Object", {{"label", "y"}});
   G.addRel(A, X, "P", {{"name", "cmd"}});
   G.addRel(A, Y, "P", {{"name", "commit"}});
+  G.freeze();
   QueryEngine E(G);
   ResultSet R =
       E.run("MATCH (a)-[:P {name: 'cmd'}]->(v) RETURN v.label");
@@ -296,6 +300,7 @@ TEST(QueryEngineTest, ReturnDistinctDeduplicates) {
   NodeHandle B2 = G.addNode("Object", {{"label", "same"}});
   G.addRel(A, B1, "D");
   G.addRel(A, B2, "D");
+  G.freeze();
   QueryEngine E(G);
   ResultSet Plain = E.run("MATCH (a)-[:D]->(b) RETURN b.label");
   EXPECT_EQ(Plain.Rows.size(), 2u);
@@ -312,4 +317,137 @@ TEST(QueryParserTest, ParsesReverseAndRelProps) {
   EXPECT_TRUE(Q.Matches[0].Rels[0].Reverse);
   EXPECT_EQ(Q.Matches[0].Rels[0].Props.at("name"), "x");
   EXPECT_TRUE(Q.Distinct);
+}
+
+//===----------------------------------------------------------------------===//
+// Set membership and disjunction
+//===----------------------------------------------------------------------===//
+
+TEST(QueryParserTest, ParsesMembershipAndDisjunction) {
+  Query Q;
+  std::string Error;
+  ASSERT_TRUE(parseQuery(
+      "MATCH p = (a)-[:D*0..]->(c:Call) "
+      "WHERE (c.name IN ['exec', 'spawn'] OR c.path IN ['fs.open']) "
+      "AND NOT untainted(p) RETURN c",
+      Q, &Error))
+      << Error;
+  ASSERT_EQ(Q.Where.size(), 2u);
+  const Condition &Any = Q.Where[0];
+  EXPECT_EQ(Any.K, Condition::Kind::Or);
+  ASSERT_EQ(Any.Alternatives.size(), 2u);
+  EXPECT_EQ(Any.Alternatives[0].K, Condition::Kind::In);
+  EXPECT_EQ(Any.Alternatives[0].LHSKey, "name");
+  EXPECT_EQ(Any.Alternatives[0].RHSList,
+            (std::vector<std::string>{"exec", "spawn"}));
+  EXPECT_EQ(Any.Alternatives[1].RHSList, (std::vector<std::string>{"fs.open"}));
+  EXPECT_EQ(Q.Where[1].K, Condition::Kind::PathPredicate);
+  EXPECT_TRUE(Q.Where[1].Negated);
+
+  // A bare top-level OR chain is one disjunction.
+  ASSERT_TRUE(parseQuery("MATCH (c:Call) WHERE c.name = 'a' OR c.name = 'b' "
+                         "RETURN c",
+                         Q = Query(), &Error))
+      << Error;
+  ASSERT_EQ(Q.Where.size(), 1u);
+  EXPECT_EQ(Q.Where[0].Alternatives.size(), 2u);
+}
+
+TEST(QueryParserTest, RejectsUnparenthesizedAndOrAndEmptyList) {
+  Query Q;
+  std::string Error;
+  EXPECT_FALSE(parseQuery(
+      "MATCH (c:Call) WHERE c.name = 'a' AND c.line = '1' OR c.name = 'b' "
+      "RETURN c",
+      Q, &Error));
+  EXPECT_NE(Error.find("parentheses"), std::string::npos) << Error;
+  EXPECT_FALSE(parseQuery(
+      "MATCH (c:Call) WHERE (c.name = 'a' AND c.line = '1') RETURN c", Q,
+      &Error));
+  EXPECT_FALSE(parseQuery("MATCH (c:Call) WHERE c.name IN [] RETURN c", Q,
+                          &Error));
+}
+
+TEST(QueryEngineTest, MembershipAndDisjunctionFilterRows) {
+  PropertyGraph G;
+  NodeHandle A = G.addNode("Object", {{"label", "a"}});
+  for (const char *Name : {"exec", "spawn", "eval", "log"}) {
+    NodeHandle C = G.addNode("Call", {{"name", Name}});
+    G.addRel(A, C, "D");
+  }
+  G.freeze();
+  QueryEngine E(G);
+  ResultSet In = E.run(
+      "MATCH (a)-[:D]->(c:Call) WHERE c.name IN ['exec', 'eval', 'nope'] "
+      "RETURN c.name");
+  ASSERT_EQ(In.Rows.size(), 2u);
+  EXPECT_EQ(In.Rows[0].Values[0], "exec");
+  EXPECT_EQ(In.Rows[1].Values[0], "eval");
+
+  ResultSet Not = E.run("MATCH (a)-[:D]->(c:Call) WHERE NOT c.name IN "
+                        "['exec', 'eval'] RETURN c.name");
+  EXPECT_EQ(Not.Rows.size(), 2u);
+
+  ResultSet Or = E.run("MATCH (a)-[:D]->(c:Call) WHERE c.name = 'log' OR "
+                       "c.name IN ['spawn'] RETURN c.name");
+  ASSERT_EQ(Or.Rows.size(), 2u);
+  EXPECT_EQ(Or.Rows[0].Values[0], "spawn");
+  EXPECT_EQ(Or.Rows[1].Values[0], "log");
+
+  // The filter runs per complete match: the walk, and so Work, is the same
+  // as without it.
+  ResultSet All = E.run("MATCH (a)-[:D]->(c:Call) RETURN c.name");
+  EXPECT_EQ(In.Work, All.Work);
+}
+
+TEST(QueryEngineTest, NamesTheGraphNeverStoredMatchNothing) {
+  PropertyGraph G = makeFixture();
+  QueryEngine E(G);
+  EXPECT_TRUE(E.run("MATCH (x:Nope) RETURN x").Rows.empty());
+  EXPECT_TRUE(E.run("MATCH (a)-[:NOPE]->(b) RETURN b").Rows.empty());
+  EXPECT_TRUE(E.run("MATCH (a {nokey: 'x'}) RETURN a").Rows.empty());
+  EXPECT_TRUE(E.run("MATCH (a {label: 'zzz'}) RETURN a").Rows.empty());
+  EXPECT_TRUE(E.run("MATCH (a)-[:P {name: 'zzz'}]->(b) RETURN b").Rows.empty());
+  // An alternation keeps its known types.
+  EXPECT_EQ(E.run("MATCH (a)-[:NOPE|P]->(b) RETURN b").Rows.size(), 1u);
+  // WHERE reads an absent property as ''.
+  EXPECT_EQ(E.run("MATCH (c:Call) WHERE c.label = '' RETURN c").Rows.size(),
+            1u);
+  EXPECT_EQ(
+      E.run("MATCH (c:Call) WHERE c.nokey IN ['', 'x'] RETURN c").Rows.size(),
+      1u);
+}
+
+TEST(PropertyGraphTest, FreezeBuildsInsertionOrderedAdjacency) {
+  PropertyGraph G;
+  NodeHandle A = G.addNode("Object");
+  NodeHandle B = G.addNode("Call");
+  NodeHandle C = G.addNode("Object");
+  RelHandle R0 = G.addRel(A, C, "D");
+  RelHandle R1 = G.addRel(B, A, "V", {{"name", "x"}});
+  RelHandle R2 = G.addRel(A, B, "P", {{"name", ""}});
+  EXPECT_TRUE(G.out(A).empty()) << "adjacency is read only when frozen";
+  G.freeze();
+  ASSERT_EQ(G.out(A).size(), 2u);
+  EXPECT_EQ(G.out(A)[0], R0);
+  EXPECT_EQ(G.out(A)[1], R2);
+  ASSERT_EQ(G.in(A).size(), 1u);
+  EXPECT_EQ(G.in(A)[0], R1);
+  EXPECT_TRUE(G.out(C).empty());
+  EXPECT_EQ(G.relFrom(R1), B);
+  EXPECT_EQ(G.relTo(R1), A);
+  EXPECT_EQ(G.relType(R2), "P");
+  // An empty value is stored; an absent one is not.
+  uint32_t Name = G.relKeyId("name");
+  EXPECT_EQ(G.relPropId(R2, Name), G.strId(""));
+  EXPECT_EQ(G.relPropId(R0, Name), NoStr);
+  EXPECT_EQ(G.nodesByLabel("Object").size(), 2u);
+  EXPECT_TRUE(G.nodesByLabel("Nope").empty());
+  EXPECT_EQ(G.addRel(A, 99, "D"), InvalidHandle);
+
+  // Adding thaws the store until the next freeze.
+  G.addRel(C, A, "D");
+  EXPECT_FALSE(G.frozen());
+  G.freeze();
+  EXPECT_EQ(G.out(C).size(), 1u);
 }

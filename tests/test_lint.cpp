@@ -314,6 +314,33 @@ TEST(SchemaLintTest, WellFormedTaintQueryIsClean) {
   EXPECT_TRUE(Issues.empty());
 }
 
+TEST(SchemaLintTest, MembershipTaintQueryIsClean) {
+  auto Issues = lintText(
+      "MATCH p = (src:Object {taint: 'true'})-[:D|P|PU|V|VU*0..]->(arg)"
+      "-[:D]->(call:Call)\n"
+      "WHERE (call.name IN ['exec'] OR call.path IN ['child_process.exec'])"
+      " AND NOT untainted(p)\nRETURN src, arg, call");
+  EXPECT_TRUE(Issues.empty());
+}
+
+TEST(SchemaLintTest, UnknownKeyInMembershipIsError) {
+  // A membership test on a key the importer never emits reads '' for every
+  // node and can never match a sink: unlike a plain RETURN read, an error.
+  auto Issues = lintText(
+      "MATCH p = (src:Object {taint: 'true'})-[:D*0..]->(arg)"
+      "-[:D]->(call:Call)\n"
+      "WHERE (call.nmae IN ['exec'] OR call.path IN ['child_process.exec'])"
+      " AND NOT untainted(p)\nRETURN src, arg, call");
+  EXPECT_TRUE(hasIssue(Issues, "query.unknown-in-key"));
+  EXPECT_TRUE(graphdb::hasSchemaError(Issues));
+}
+
+TEST(SchemaLintTest, UnboundVariableInsideDisjunctionIsError) {
+  auto Issues = lintText("MATCH (c:Call) WHERE c.name = 'exec' OR "
+                         "d.name IN ['eval'] RETURN c");
+  EXPECT_TRUE(hasIssue(Issues, "query.unbound-var"));
+}
+
 TEST(SchemaLintTest, BuiltinQueriesValidateCleanly) {
   // The acceptance gate: every Table 2 query instantiated from the default
   // sink config must pass the schema linter.
@@ -321,6 +348,11 @@ TEST(SchemaLintTest, BuiltinQueriesValidateCleanly) {
   EXPECT_TRUE(queries::GraphDBRunner::validateBuiltinQueries(
       queries::SinkConfig::defaults(), &Error))
       << Error;
+  // One query per vulnerability class.
+  EXPECT_EQ(queries::GraphDBRunner::builtinQueries(
+                queries::SinkConfig::defaults())
+                .size(),
+            4u);
 }
 
 TEST(SchemaLintTest, TypoedBuiltinTemplateFailsValidation) {

@@ -641,6 +641,35 @@ TEST(ScanObsTest, ScanPackageCoversEveryPipelinePhase) {
     EXPECT_GT(Spans[I].Depth, 0u) << Spans[I].Name;
 }
 
+TEST(ScanObsTest, QuerySpansAreOnePerClassWithWork) {
+  TraceRecorder TR;
+  scanner::ScanOptions O;
+  O.Trace = &TR;
+  O.Prune = false; // Run all four class queries.
+  scanner::Scanner S(O);
+  S.scanPackage({{"index.js", VulnSource}});
+
+  const auto &Spans = TR.spans();
+  size_t QueryAt = SpanRecord::npos;
+  for (size_t I = 0; I < Spans.size(); ++I)
+    if (Spans[I].Name == "query")
+      QueryAt = I;
+  ASSERT_NE(QueryAt, SpanRecord::npos);
+  std::vector<std::string> Children;
+  for (const SpanRecord &Sp : Spans) {
+    if (Sp.Parent != QueryAt)
+      continue;
+    Children.push_back(Sp.Name);
+    bool HasWork = false;
+    for (const auto &[Key, Value] : Sp.Args)
+      HasWork |= Key == "work" && !Value.empty();
+    EXPECT_TRUE(HasWork) << Sp.Name << " span carries work=";
+  }
+  EXPECT_EQ(Children, (std::vector<std::string>{
+                          "command-injection", "code-injection",
+                          "path-traversal", "prototype-pollution"}));
+}
+
 TEST(ScanObsTest, NativeBackendTracesNativeQuerySpan) {
   TraceRecorder TR;
   scanner::ScanOptions O;
@@ -732,7 +761,13 @@ analysis::BuildResult buildFromSource(const char *Source) {
 TEST(ProfilerTest, ExplainRendersEveryPlanStepWithoutExecuting) {
   auto Builtins =
       queries::GraphDBRunner::builtinQueries(queries::SinkConfig::defaults());
-  ASSERT_GE(Builtins.size(), 4u);
+  // One query per vulnerability class.
+  std::vector<std::string> Names;
+  for (const auto &[Name, Text] : Builtins)
+    Names.push_back(Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{
+                       "command-injection", "code-injection",
+                       "path-traversal", "prototype-pollution"}));
   for (const auto &[Name, Text] : Builtins) {
     graphdb::Query Q;
     std::string Error;
@@ -747,7 +782,7 @@ TEST(ProfilerTest, ProfileAnnotatesStepsWithCandidatesMatchesAndTime) {
   analysis::BuildResult Build = buildFromSource(VulnSource);
   queries::GraphDBRunner Runner(Build);
   auto Profiles = Runner.profileBuiltins(queries::SinkConfig::defaults());
-  ASSERT_GE(Profiles.size(), 4u);
+  ASSERT_EQ(Profiles.size(), 4u);
 
   size_t QueriesWithRows = 0;
   for (const auto &[Name, P] : Profiles) {

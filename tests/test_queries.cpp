@@ -9,13 +9,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/MDGBuilder.h"
+#include "core/AsyncLower.h"
 #include "core/Normalizer.h"
+#include "eval/Harness.h"
+#include "obs/Counters.h"
 #include "queries/QueryRunner.h"
 #include "scanner/Scanner.h"
+#include "workload/Packages.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 
 using namespace gjs;
 using namespace gjs::queries;
@@ -447,3 +457,244 @@ TEST(SanitizerTest, OtherFlowsStayReported) {
   ASSERT_EQ(R.Reports.size(), 1u);
   EXPECT_EQ(R.Reports[0].SinkLoc.Line, 4u);
 }
+
+//===----------------------------------------------------------------------===//
+// Query-engine goldens and the per-class vs. per-sink differential
+//===----------------------------------------------------------------------===//
+//
+// The corpus: examples/js plus a fixed slice of the workload generator's
+// single-file taint, prototype-pollution, sanitized and async shapes, built
+// with the evaluation budgets (eval::HarnessOptions::defaults()).
+
+#if defined(GJS_EXAMPLES_JS_DIR) && defined(GJS_QUERY_GOLDENS)
+
+namespace {
+
+struct CorpusInput {
+  std::string Name;
+  std::string Source;
+};
+
+std::vector<CorpusInput> queryCorpus() {
+  std::vector<CorpusInput> Out;
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(GJS_EXAMPLES_JS_DIR))
+    if (E.path().extension() == ".js")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  for (const std::filesystem::path &P : Examples) {
+    std::ifstream In(P);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Out.push_back({"examples/" + P.filename().string(), SS.str()});
+  }
+
+  workload::PackageGenerator Gen(2024);
+  auto Add = [&](const workload::Package &P) {
+    if (P.Files.size() == 1) // Multi-file shapes need the package linker.
+      Out.push_back({P.Name, P.Files[0].Contents});
+  };
+  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
+                     VulnType::PathTraversal, VulnType::PrototypePollution}) {
+    for (workload::Complexity C :
+         {workload::Complexity::Direct, workload::Complexity::Wrapped,
+          workload::Complexity::Loop, workload::Complexity::Recursive})
+      Add(Gen.vulnerable(T, C, workload::VariantKind::Plain, 30));
+    Add(Gen.vulnerable(T, workload::Complexity::Wrapped,
+                       workload::VariantKind::Sanitized, 30));
+  }
+  for (workload::AsyncForm F :
+       {workload::AsyncForm::Await, workload::AsyncForm::ThenChain,
+        workload::AsyncForm::PromiseExecutor,
+        workload::AsyncForm::ErrorFirstCallback}) {
+    Add(Gen.asyncVulnerable(F, 30));
+    Add(Gen.asyncBenign(F, 30));
+  }
+  // The vuln_large shape whose pollution query exhausts the step budget:
+  // budget truncation must cut every engine off at the same step.
+  workload::PackageGenerator Heavy(2025);
+  Add(Heavy.vulnerable(VulnType::PrototypePollution,
+                       workload::Complexity::Recursive,
+                       workload::VariantKind::Plain, 1000));
+  return Out;
+}
+
+analysis::BuildResult buildBudgeted(const std::string &Source) {
+  DiagnosticEngine Diags;
+  auto Prog = core::normalizeJS(Source, Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  core::lowerAsync(*Prog);
+  return analysis::buildMDG(*Prog,
+                            eval::HarnessOptions::defaults().Scan.Builder);
+}
+
+/// The Table 2 taint template instantiated for one sink: the shape each
+/// class query is the union of.
+std::string perSinkQuery(const SinkSpec &Spec) {
+  return std::string("MATCH p = (src:Object {taint: 'true'})"
+                     "-[:D|P|PU|V|VU*0..]->(arg)-[:D]->(call:Call {") +
+         (Spec.isPath() ? "path" : "name") + ": '" + Spec.Name +
+         "'})\nWHERE NOT untainted(p)\nRETURN src, arg, call";
+}
+
+std::string pollutionQuery() {
+  for (const auto &[Name, Text] :
+       GraphDBRunner::builtinQueries(SinkConfig::defaults()))
+    if (Name == "prototype-pollution")
+      return Text;
+  ADD_FAILURE() << "no prototype-pollution built-in";
+  return "";
+}
+
+/// One query's golden record: its cost counters and every projected row.
+std::string goldenRecord(GraphDBRunner &Runner, const std::string &Label,
+                         const std::string &Text) {
+  bool Prev = obs::setCountersEnabled(true);
+  uint64_t Before = obs::counters::QueryBacktracks.value();
+  std::string Error;
+  graphdb::ResultSet R = Runner.runQuery(Text, &Error);
+  uint64_t Backtracks = obs::counters::QueryBacktracks.value() - Before;
+  obs::setCountersEnabled(Prev);
+  EXPECT_TRUE(Error.empty()) << Label << ": " << Error;
+  std::string Out = "query " + Label + " work=" + std::to_string(R.Work) +
+                    " backtracks=" + std::to_string(Backtracks) +
+                    " timedout=" + (R.TimedOut ? "1" : "0") +
+                    " rows=" + std::to_string(R.Rows.size()) + "\n";
+  for (const graphdb::ResultRow &Row : R.Rows) {
+    Out += " ";
+    for (const std::string &V : Row.Values)
+      Out += " " + V;
+    Out += "\n";
+  }
+  return Out;
+}
+
+/// The golden block of one corpus input: the pollution query and two
+/// single-sink taint queries (a bare-name sink and a dotted-path sink).
+std::string goldenBlock(const CorpusInput &In) {
+  analysis::BuildResult Build = buildBudgeted(In.Source);
+  GraphDBRunner Runner(Build, eval::HarnessOptions::defaults().Scan.Engine);
+  std::string Out = "input " + In.Name + "\n";
+  Out += goldenRecord(Runner, "prototype-pollution", pollutionQuery());
+  Out += goldenRecord(Runner, "command-injection/exec",
+                      perSinkQuery({"exec", {0}}));
+  Out += goldenRecord(Runner, "path-traversal/fs.readFileSync",
+                      perSinkQuery({"fs.readFileSync", {0}}));
+  return Out;
+}
+
+/// Splits a golden file into per-input blocks keyed by input name.
+std::map<std::string, std::string> goldenBlocks(const std::string &Text) {
+  std::map<std::string, std::string> Out;
+  std::string Current;
+  std::istringstream In(Text);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("input ", 0) == 0)
+      Current = Line.substr(6);
+    Out[Current] += Line + "\n";
+  }
+  return Out;
+}
+
+} // namespace
+
+// Rows, Work and Backtracks of the pollution query and of single-sink
+// taint queries, as the engine computed them before its store was frozen
+// and interned. Set GJS_RECORD_QUERY_GOLDENS=<file> to re-record.
+TEST(QueryGoldenTest, EngineReproducesRecordedRowsWorkAndBacktracks) {
+  std::vector<CorpusInput> Corpus = queryCorpus();
+  ASSERT_GE(Corpus.size(), 20u);
+  if (const char *RecordTo = std::getenv("GJS_RECORD_QUERY_GOLDENS")) {
+    std::ofstream Out(RecordTo);
+    for (const CorpusInput &In : Corpus)
+      Out << goldenBlock(In);
+    GTEST_SKIP() << "recorded goldens to " << RecordTo;
+  }
+  std::ifstream In(GJS_QUERY_GOLDENS);
+  ASSERT_TRUE(In) << "missing " << GJS_QUERY_GOLDENS;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  std::map<std::string, std::string> Golden = goldenBlocks(SS.str());
+  ASSERT_EQ(Golden.size(), Corpus.size());
+  for (const CorpusInput &Input : Corpus) {
+    ASSERT_TRUE(Golden.count(Input.Name)) << Input.Name;
+    EXPECT_EQ(goldenBlock(Input), Golden[Input.Name]) << Input.Name;
+  }
+}
+
+namespace {
+
+/// Checks every taint class of one input against the union of its per-sink
+/// template runs; returns the number of class reports.
+size_t expectClassEqualsUnion(const CorpusInput &Input,
+                              graphdb::EngineOptions Engine) {
+  SinkConfig Config = SinkConfig::defaults();
+  analysis::BuildResult Build = buildBudgeted(Input.Source);
+  GraphDBRunner Runner(Build, Engine);
+  size_t Reported = 0;
+  for (VulnType T : {VulnType::CommandInjection, VulnType::CodeInjection,
+                     VulnType::PathTraversal}) {
+    std::string Where = Input.Name + " " + vulnTypeName(T);
+    std::vector<VulnReport> Union;
+    std::set<VulnReport> Seen;
+    uint64_t SinkWork = 0;
+    bool SinkTimedOut = false;
+    for (const SinkSpec &Spec : Config.sinks(T)) {
+      std::string Error;
+      graphdb::ResultSet R = Runner.runQuery(perSinkQuery(Spec), &Error);
+      EXPECT_TRUE(Error.empty()) << Error;
+      SinkWork = R.Work;
+      SinkTimedOut = R.TimedOut;
+      for (const graphdb::ResultRow &Row : R.Rows) {
+        const mdg::Node &CN = Build.Graph.node(Row.NodeBindings.at("call"));
+        mdg::NodeId Arg = Row.NodeBindings.at("arg");
+        bool Sensitive = false;
+        for (unsigned I = 0; I < CN.Args.size() && !Sensitive; ++I)
+          Sensitive = SinkConfig::argIsSensitive(Spec, I) &&
+                      std::find(CN.Args[I].begin(), CN.Args[I].end(), Arg) !=
+                          CN.Args[I].end();
+        if (!Sensitive)
+          continue;
+        VulnReport Rep;
+        Rep.Type = T;
+        Rep.SinkLoc = CN.Loc;
+        Rep.SinkName = CN.CallName;
+        Rep.SinkPath = CN.CallPath;
+        if (Seen.insert(Rep).second)
+          Union.push_back(std::move(Rep));
+      }
+    }
+    DetectStats Stats;
+    std::vector<VulnReport> Class = Runner.detectTaintStyle(T, Config, &Stats);
+    EXPECT_EQ(Class, Union) << Where;
+    EXPECT_EQ(Stats.QueryWork, SinkWork) << Where;
+    EXPECT_EQ(Stats.TimedOut, SinkTimedOut) << Where;
+    Reported += Class.size();
+  }
+  return Reported;
+}
+
+} // namespace
+
+// Each class's detectTaintStyle equals the union of the per-sink template
+// runs: same reports in the same order, with the sensitive-argument filter
+// of each run's sink applied, the same Work as any single per-sink run, and
+// the same budget verdict.
+TEST(QueryGoldenTest, ClassQueryEqualsUnionOfPerSinkRuns) {
+  std::vector<CorpusInput> Corpus = queryCorpus();
+  size_t Reported = 0;
+  for (const CorpusInput &Input : Corpus)
+    Reported += expectClassEqualsUnion(
+        Input, eval::HarnessOptions::defaults().Scan.Engine);
+  EXPECT_GE(Reported, 10u) << "the corpus must exercise the taint classes";
+
+  // A budget that cuts the larger taint walks short: the class query
+  // truncates where every per-sink run does, with the rows found so far.
+  graphdb::EngineOptions Tight = eval::HarnessOptions::defaults().Scan.Engine;
+  Tight.WorkBudget = 400;
+  for (const CorpusInput &Input : Corpus)
+    expectClassEqualsUnion(Input, Tight);
+}
+
+#endif // GJS_EXAMPLES_JS_DIR && GJS_QUERY_GOLDENS

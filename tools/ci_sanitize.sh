@@ -23,6 +23,16 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # exception unwinding in the driver).
 "$BUILD_DIR/tests/test_faults"
 
+# The graph store and query engine: the frozen store's CSR offset
+# arithmetic, the interned property columns indexed by node and
+# relationship handle, the epoch-stamped visited tables of the matcher,
+# and the compiled-plan slot bindings are all raw index math — exactly
+# what ASan's bounds checks are for. test_queries adds the recorded
+# engine goldens and the per-class vs. per-sink differential over the
+# examples and a workload slice.
+"$BUILD_DIR/tests/test_graphdb"
+"$BUILD_DIR/tests/test_queries"
+
 # The multi-process fault suite: the fork-per-package worker pool under
 # injected crash/hang/oom faults, the kill ladder, journal merge, resume
 # across a SIGKILLed supervisor, and the cross-process telemetry merge

@@ -1015,7 +1015,8 @@ int runLint(const std::vector<std::string> &Files, bool Summary,
 
 int runQuery(const std::string &QueryText, bool Builtin, bool Explain,
              bool Profile, const std::vector<std::string> &Files) {
-  // The query set: the given text, or every built-in Table 2 query.
+  // The query set: the given text, or the built-in Table 2 queries (one
+  // per vulnerability class).
   std::vector<std::pair<std::string, std::string>> Queries;
   if (Builtin || QueryText.empty()) {
     Queries =
