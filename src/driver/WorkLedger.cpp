@@ -13,7 +13,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <csignal>
@@ -58,25 +57,45 @@ bool writeAll(int FD, const std::string &Content) {
   return true;
 }
 
-/// Atomic create-with-content: exactly one contender ever sees success,
+/// How an exclusive create ended.
+enum class CreateResult {
+  Created, ///< This caller published the file.
+  Exists,  ///< The name was already taken: another contender won.
+  Failed,  ///< The content could not be written (I/O error).
+};
+
+/// Atomic create-with-content: exactly one contender ever sees Created,
 /// and no reader ever sees the file without its full content. The content
-/// goes to a unique temp file first, which link(2) then publishes under
-/// \p Path — link fails with EEXIST when the name is taken, the same
-/// exclusive-create guarantee as O_EXCL, without O_EXCL's window between
-/// the create and the write in which a joiner reads a torn file. The
-/// claim/steal token ratchet is built entirely on it.
-bool createExclusive(const std::string &Path, const std::string &Content) {
-  static std::atomic<uint64_t> Seq{0};
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(Seq.fetch_add(1));
-  int FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (FD < 0)
-    return false;
+/// goes to a temp file first, which link(2) then publishes under \p Path —
+/// link fails with EEXIST when the name is taken, the same exclusive-create
+/// guarantee as O_EXCL, without O_EXCL's window between the create and the
+/// write in which a joiner reads a torn file. The claim/steal token ratchet
+/// is built entirely on it.
+///
+/// The temp name is `<Path>.tmp.<pid>.<n>`, opened with O_EXCL from n = 0
+/// upwards, so a name still held by a concurrent writer or left behind by
+/// a killed process (a restart may reuse its pid, and hosts sharing the
+/// ledger may share pids) is skipped rather than read as a lost race.
+CreateResult createExclusive(const std::string &Path,
+                             const std::string &Content) {
+  std::string Tmp;
+  int FD = -1;
+  for (unsigned N = 0; FD < 0; ++N) {
+    Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(N);
+    FD = ::open(Tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (FD < 0 && errno != EEXIST)
+      return CreateResult::Failed;
+  }
   bool Written = writeAll(FD, Content);
   Written = ::close(FD) == 0 && Written;
-  bool Won = Written && ::link(Tmp.c_str(), Path.c_str()) == 0;
+  CreateResult R = CreateResult::Failed;
+  if (Written)
+    R = ::link(Tmp.c_str(), Path.c_str()) == 0 ? CreateResult::Created
+        : errno == EEXIST                      ? CreateResult::Exists
+                                               : CreateResult::Failed;
   ::unlink(Tmp.c_str());
-  return Won;
+  return R;
 }
 
 /// Write-temp-then-rename: readers see the old content or the new content,
@@ -186,8 +205,14 @@ bool WorkLedger::init(const std::vector<std::string> &PackageNames,
   std::string Manifest = frameJournalLine(json::Value(std::move(M)).str());
 
   std::string Path = Options.Dir + "/manifest.json";
-  if (createExclusive(Path, Manifest + "\n"))
+  CreateResult Created = createExclusive(Path, Manifest + "\n");
+  if (Created == CreateResult::Created)
     return true;
+  if (Created == CreateResult::Failed) {
+    if (Error)
+      *Error = "cannot write ledger manifest at " + Path;
+    return false;
+  }
 
   // A joiner: the manifest must describe the exact same corpus partition,
   // otherwise two different batches are fighting over one ledger.
@@ -267,8 +292,9 @@ std::optional<LeaseInfo> WorkLedger::claimFresh() {
     std::string Tok1 = shardPrefix(S) + ".tok.1";
     if (fs::exists(Tok1))
       continue;
-    if (!createExclusive(Tok1, Options.SupervisorId + "\n"))
-      continue; // Lost the race; move on.
+    if (createExclusive(Tok1, Options.SupervisorId + "\n") !=
+        CreateResult::Created)
+      continue; // Lost the race (or cannot write); move on.
     LeaseInfo L;
     L.Shard = S;
     L.Token = 1;
@@ -326,8 +352,9 @@ std::optional<LeaseInfo> WorkLedger::stealStale() {
     // the late writer loses structurally.
     std::string NextTok =
         shardPrefix(S) + ".tok." + std::to_string(Cur->Token + 1);
-    if (!createExclusive(NextTok, Options.SupervisorId + "\n"))
-      continue; // Someone else stole it first.
+    if (createExclusive(NextTok, Options.SupervisorId + "\n") !=
+        CreateResult::Created)
+      continue; // Someone else stole it first (or cannot write).
     LeaseInfo L;
     L.Shard = S;
     L.Token = Cur->Token + 1;

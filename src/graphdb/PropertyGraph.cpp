@@ -7,6 +7,7 @@
 #include "graphdb/PropertyGraph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 using namespace gjs;
@@ -63,7 +64,7 @@ StrId PropertyGraph::intern(std::string_view S) {
 NodeHandle
 PropertyGraph::addNode(std::string_view Label,
                        const std::map<std::string, std::string> &Props) {
-  Frozen = false;
+  assert(!Frozen && "addNode after freeze()");
   NodeHandle H = static_cast<NodeHandle>(NodeLabel.size());
   NodeLabel.push_back(internName(LabelNames, Label));
   for (const auto &[Key, Value] : Props)
@@ -74,12 +75,12 @@ PropertyGraph::addNode(std::string_view Label,
 RelHandle
 PropertyGraph::addRel(NodeHandle From, NodeHandle To, std::string_view Type,
                       const std::map<std::string, std::string> &Props) {
+  assert(!Frozen && "addRel after freeze()");
   if (From >= numNodes() || To >= numNodes())
     return InvalidHandle; // Reject bad endpoints instead of corrupting.
   if (findName(TypeNames, Type) == NoId && TypeNames.size() >= MaxRelTypes)
     return InvalidHandle; // A type set must fit one 64-bit mask.
   uint32_t T = internName(TypeNames, Type);
-  Frozen = false;
   RelHandle H = static_cast<RelHandle>(RelType.size());
   RelFrom.push_back(From);
   RelTo.push_back(To);
@@ -120,6 +121,7 @@ void PropertyGraph::setRelProp(RelHandle H, uint32_t Key,
 }
 
 void PropertyGraph::freeze() {
+  assert(!Frozen && "freeze() called twice");
   buildCSR(RelFrom, numNodes(), OutOff, OutRels);
   buildCSR(RelTo, numNodes(), InOff, InRels);
   ByLabel.assign(LabelNames.size(), {});
@@ -136,8 +138,7 @@ void PropertyGraph::freeze() {
 }
 
 HandleSpan PropertyGraph::nodesByLabel(const std::string &Label) const {
-  if (!Frozen)
-    return {};
+  assert(Frozen && "label index read before freeze()");
   if (Label.empty())
     return AllNodes;
   uint32_t L = labelId(Label);

@@ -32,6 +32,7 @@
 #ifndef GJS_GRAPHDB_PROPERTYGRAPH_H
 #define GJS_GRAPHDB_PROPERTYGRAPH_H
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -87,11 +88,9 @@ public:
   void setProp(NodeHandle H, uint32_t Key, std::string_view Value);
   void setRelProp(RelHandle H, uint32_t Key, std::string_view Value);
 
-  /// Builds the CSR adjacency and label index. Adding to a frozen graph
-  /// thaws it; the adjacency and label accessors below read empty until
-  /// the next freeze().
+  /// Builds the CSR adjacency and label index. Called once, after the
+  /// last add; adding to a frozen graph is a programming error.
   void freeze();
-  bool frozen() const { return Frozen; }
 
   //===--- Reading (strings) ---------------------------------------------===//
 
@@ -110,14 +109,12 @@ public:
   /// Outgoing / incoming relationship handles of a node, in insertion
   /// order (frozen graphs only).
   HandleSpan out(NodeHandle H) const {
-    return Frozen ? HandleSpan(OutRels.data() + OutOff[H],
-                               OutOff[H + 1] - OutOff[H])
-                  : HandleSpan();
+    assert(Frozen && "adjacency read before freeze()");
+    return HandleSpan(OutRels.data() + OutOff[H], OutOff[H + 1] - OutOff[H]);
   }
   HandleSpan in(NodeHandle H) const {
-    return Frozen ? HandleSpan(InRels.data() + InOff[H],
-                               InOff[H + 1] - InOff[H])
-                  : HandleSpan();
+    assert(Frozen && "adjacency read before freeze()");
+    return HandleSpan(InRels.data() + InOff[H], InOff[H + 1] - InOff[H]);
   }
 
   /// All node handles with the given label ("" = all nodes), ascending

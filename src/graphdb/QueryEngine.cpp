@@ -417,7 +417,10 @@ private:
 
 /// The (node, fold state) pairs one segment walk has visited: an
 /// open-addressing hash set cleared in O(1) by bumping an epoch stamp, so
-/// each plan step reuses one table across all of its walks.
+/// each plan step reuses one table across all of its walks. A
+/// std::unordered_set cleared per walk pays a bucket-array memset per
+/// walk and an allocation per insert: it ran the pollution query about
+/// 2x slower (EXPERIMENTS.md, "Visited set").
 class QueryEngine::VisitedSet {
 public:
   void reset() {

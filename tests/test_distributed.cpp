@@ -357,6 +357,26 @@ TEST(WorkLedgerTest, RacingJoinersNeverReadATornManifest) {
   std::filesystem::remove_all(Base);
 }
 
+TEST(WorkLedgerTest, StaleTempFilesDoNotBlockCreates) {
+  // A supervisor killed between writing a temp file and publishing it
+  // leaves `<name>.tmp.<pid>.0` behind; a restart may get the same pid.
+  // The leftover must not read as a lost race.
+  std::string Dir = tempDir("stale_tmp");
+  std::string Stale = ".tmp." + std::to_string(::getpid()) + ".0";
+  std::filesystem::create_directories(Dir + "/shards");
+  for (const std::string &Name : {"/manifest.json", "/shards/s0.tok.1"})
+    std::ofstream(Dir + Name + Stale) << "half-writ";
+  driver::WorkLedger L(ledgerOpts(Dir, 2, 10.0, "restarted"));
+  std::string Error;
+  ASSERT_TRUE(L.init({"a", "b"}, &Error)) << Error;
+  std::optional<driver::LeaseInfo> Lease = L.claimFresh();
+  ASSERT_TRUE(Lease.has_value());
+  EXPECT_EQ(Lease->Token, 1u);
+  driver::WorkLedger Joiner(ledgerOpts(Dir, 2, 10.0, "joiner"));
+  EXPECT_TRUE(Joiner.init({"a", "b"}, &Error)) << Error;
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(WorkLedgerTest, StealOnlyAfterExpiryAndFencingWins) {
   std::string Dir = tempDir("steal");
   driver::WorkLedger A(ledgerOpts(Dir, 1, 0.2, "sup-a"));

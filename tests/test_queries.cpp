@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -601,16 +600,10 @@ std::map<std::string, std::string> goldenBlocks(const std::string &Text) {
 
 // Rows, Work and Backtracks of the pollution query and of single-sink
 // taint queries, as the engine computed them before its store was frozen
-// and interned. Set GJS_RECORD_QUERY_GOLDENS=<file> to re-record.
+// and interned. The golden file is fixed test data.
 TEST(QueryGoldenTest, EngineReproducesRecordedRowsWorkAndBacktracks) {
   std::vector<CorpusInput> Corpus = queryCorpus();
   ASSERT_GE(Corpus.size(), 20u);
-  if (const char *RecordTo = std::getenv("GJS_RECORD_QUERY_GOLDENS")) {
-    std::ofstream Out(RecordTo);
-    for (const CorpusInput &In : Corpus)
-      Out << goldenBlock(In);
-    GTEST_SKIP() << "recorded goldens to " << RecordTo;
-  }
   std::ifstream In(GJS_QUERY_GOLDENS);
   ASSERT_TRUE(In) << "missing " << GJS_QUERY_GOLDENS;
   std::ostringstream SS;
